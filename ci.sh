@@ -21,26 +21,25 @@ echo "== geometry bench smoke (compile only) =="
 # triangle intersect) must keep building; timing runs stay local.
 cargo bench -p hsu-geometry --no-run
 
-echo "== sim-mode matrix (stepped / event / parallel-epoch x thread counts) =="
-# Fast three-way equivalence leg: the scaled-down suite must produce
-# byte-identical reports in all three simulation modes, for 1 and 4
-# parallel-epoch worker threads. Catches scheduling nondeterminism that the
-# unit proptests' small machines might miss.
+echo "== sim-mode matrix (stepped oracle vs event) =="
+# Fast equivalence leg: the scaled-down suite must produce byte-identical
+# reports in the stepped and event simulation modes. Catches scheduling
+# nondeterminism that the unit proptests' small machines might miss.
 cargo test --release -q --test sim_equivalence full_suite_matrix_is_mode_equivalent
 
 echo "== RT-organization golden matrix (baseline vs treelet cores, smoke scale) =="
 # Cross-organization differential leg: the five golden workloads must
 # produce identical report payloads (instruction issue, warp retirement,
 # RT instruction counts) under the baseline and treelet-scheduled RT cores
-# in all three simulation modes, and the baseline core must still hit its
+# in both simulation modes, and the baseline core must still hit its
 # pinned golden cycle counts. Fails if the two organizations ever diverge
 # in anything but timing/stat columns.
 cargo test --release -q --test rt_organization -- \
     golden_workloads_agree_across_organizations \
     baseline_organization_still_matches_the_golden_cycles
 
-echo "== sim modes (differential bench: stepped oracle vs event + parallel) =="
-# Runs the suite matrix under all three simulation modes, asserts the
+echo "== sim modes (differential bench: stepped oracle vs event) =="
+# Runs the suite matrix under both simulation modes, asserts the
 # reports are identical, and APPENDS wall time + ticks per mode to the
 # BENCH_sim.json trajectory (use --pr to label the entry; history is never
 # overwritten). Quarter scale on the default 32-SM machine keeps this a few

@@ -94,11 +94,10 @@ pub struct SuiteConfig {
     /// figure and table) are identical for every mode; only wall-time and
     /// the scheduler counters change.
     pub sim_mode: SimMode,
-    /// Worker threads *inside* each simulation when `sim_mode` is
-    /// [`SimMode::ParallelEpoch`] (0 = derive from the machine). Reports are
-    /// identical for every value. [`crate::runner::thread_budget`] splits
-    /// the machine between `jobs` and this knob so the two levels of
-    /// parallelism never oversubscribe the host.
+    /// Inert: nothing reads this field, because every simulation runs on
+    /// one thread. It remains only so struct literals that name every
+    /// field (`perfbench/src/suite.rs`) keep compiling, and goes away with
+    /// the next change to the benchmark.
     pub sim_threads: usize,
     /// Directory for the content-keyed `.hsar` build cache
     /// ([`crate::cache::ArchiveCache`]). `None` (the default) builds cold.
@@ -151,12 +150,6 @@ impl SuiteConfig {
         self
     }
 
-    /// The same configuration with a different per-simulation thread count.
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
     /// The same configuration with an archive-cache directory attached.
     pub fn with_archive_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.archive_dir = Some(dir.into());
@@ -174,7 +167,6 @@ impl SuiteConfig {
         GpuConfig {
             num_sms: self.sms,
             sim_mode: self.sim_mode,
-            sim_threads: self.sim_threads,
             rt_core: self.rt_core,
             ..GpuConfig::small()
         }

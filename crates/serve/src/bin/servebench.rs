@@ -162,11 +162,9 @@ fn main() {
         install_quiet_panic_hook();
     }
     let host_cores = runner::default_jobs();
-    // Serving owns the whole machine here (no co-resident suite or
-    // simulation), so the three-way budget degenerates to the serve
-    // share; co-located callers should size `shards × workers` with
-    // `runner::thread_budget3` instead.
-    let (_, _, serve_share) = runner::thread_budget3(host_cores, 1, 1, opts.shards * opts.workers);
+    // Serving owns the whole machine here: its share is the requested
+    // worker total, capped at the host's cores.
+    let serve_share = (opts.shards * opts.workers).min(host_cores);
     eprintln!(
         "servebench: host_cores={host_cores} shards={} workers={} (serve share {serve_share}) \
          batch={} capacity={} seed={} queries/family={}",

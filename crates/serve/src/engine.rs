@@ -55,9 +55,9 @@ use crate::index::{Query, QueryOutput, SearchIndex};
 pub struct EngineConfig {
     /// Admission queues (and worker pools) to run. Floored at 1.
     pub shards: usize,
-    /// Worker threads per shard. Floored at 1. Size the product with
-    /// `hsu_bench::runner::thread_budget3` when a suite or simulation
-    /// shares the host.
+    /// Worker threads per shard. Floored at 1. Keep `shards ×
+    /// workers_per_shard` within the cores left over when a suite or
+    /// simulation shares the host.
     pub workers_per_shard: usize,
     /// Most queries one worker coalesces into a single SoA batch.
     /// Floored at 1.

@@ -26,22 +26,19 @@
 //!
 //! # Simulation modes
 //!
-//! Time advances under one of three [`config::SimMode`]s. `Stepped` is the
-//! oracle: every component ticks on every cycle. `Event` (the default) is
-//! the fast path: each component reports the earliest future cycle its
-//! state can change ([`memory::MemorySystem::next_event`],
-//! [`sm::Sm::next_event`]), the run loop jumps straight to the minimum, and
-//! within a visited cycle only the SMs that can observe it tick — the rest
-//! sleep until a completion, an L1 fill, or their own wakeup cycle arrives,
-//! and bulk-account the skipped window via `fast_forward`. `ParallelEpoch`
-//! runs the same event-driven schedule but fans each visited cycle's SM
-//! work out across a worker pool ([`config::GpuConfig::sim_threads`]),
-//! draining the shared memory system between epochs under a deterministic
-//! barrier. All three modes produce bit-identical [`SimReport`]s for every
-//! thread count (only the [`stats::SchedStats`] scheduler counters differ
-//! between stepped and the event-driven pair); `tests/sim_equivalence.rs`
-//! proves this differentially over random kernels, random machine
-//! geometries, thread counts, and the full benchmark suite.
+//! Time advances under one of two [`config::SimMode`]s, both on a single
+//! thread. `Stepped` is the oracle: every component ticks on every cycle.
+//! `Event` (the default) is the fast path: each component reports the
+//! earliest future cycle its state can change
+//! ([`memory::MemorySystem::next_event`], [`sm::Sm::next_event`]), the run
+//! loop jumps straight to the minimum, and within a visited cycle only the
+//! SMs that can observe it tick — the rest sleep until a completion, an L1
+//! fill, or their own wakeup cycle arrives, and bulk-account the skipped
+//! window via `fast_forward`. Both modes produce bit-identical
+//! [`SimReport`]s (only the [`stats::SchedStats`] scheduler counters
+//! differ); `tests/sim_equivalence.rs` proves this differentially over
+//! random kernels, random machine geometries, and the full benchmark
+//! suite.
 //!
 //! # Examples
 //!
@@ -107,9 +104,4 @@ const _: () = {
     // runner carries them through catch_unwind + channels).
     assert_send_sync::<SimError>();
     assert_send_sync::<error::CancelToken>();
-    // The parallel-epoch run loop additionally moves SMs and memory shards
-    // across its own worker pool.
-    const fn assert_send<T: Send>() {}
-    assert_send::<sm::Sm>();
-    assert_send::<memory::MemorySystem>();
 };

@@ -5,30 +5,15 @@
 //! service. Completion tokens (`waiter`s) are opaque to the hierarchy; the
 //! SMs map them back to blocked warps or RT-unit lanes.
 //!
-//! # Sharding for intra-run parallelism
-//!
-//! The hierarchy is split along the only boundary SMs can observe:
-//!
-//! * [`L1Shard`] — one per SM: its L1 tag/MSHR state, its private RT cache
-//!   (if the policy has one), and its requester counters. Each shard sits
-//!   behind a `Mutex` so the parallel-epoch run loop can hand disjoint
-//!   shards to worker threads while the serial modes lock them inline
-//!   (uncontended).
-//! * `MemCore` — everything shared: the event heap, L2 banks, DRAM
-//!   channels. Only the epoch barrier (the run loop's main thread) touches
-//!   it.
-//!
-//! An SM's per-cycle work mutates only its own shard and *pushes future
-//! events*. Event pushes commute: the heap pops distinct events in sorted
-//! `(cycle, event)` order regardless of insertion order, and equal events
-//! are interchangeable — so draining at the barrier is deterministic no
-//! matter how many threads produced the events. That is the entire
-//! epoch-drain contract, and why every [`crate::config::SimMode`] produces
-//! bit-identical reports.
+//! Future activity lives in one event heap keyed by `(cycle, event)`. The
+//! heap pops distinct events in sorted order whatever order they were
+//! pushed in, and equal events are interchangeable, so the drain order —
+//! and with it every statistic — depends only on the simulated schedule.
+//! That is why every [`crate::config::SimMode`] produces bit-identical
+//! reports.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Mutex, MutexGuard};
 
 use crate::cache::{Cache, CacheStats, Lookup};
 use crate::config::{GpuConfig, RtCachePolicy};
@@ -85,71 +70,143 @@ pub struct MemoryStats {
     pub dram: DramStats,
 }
 
-/// The abstract L1 port the SM drives. Implemented by [`MemorySystem`]
-/// (serial modes: lock-and-forward into the shared event heap) and by
-/// [`SmPort`] (parallel-epoch workers: exclusive shard access plus a local
-/// event buffer merged at the barrier). The `sm` argument always names the
-/// calling SM; a port bound to one shard asserts it matches.
-pub trait MemPort {
-    /// See [`MemorySystem::rt_has_private_path`].
-    fn rt_has_private_path(&self) -> bool;
-    /// See [`MemorySystem::can_accept`].
-    fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool;
-    /// See [`MemorySystem::access`].
-    fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome;
-    /// See [`MemorySystem::store`].
-    fn store(&mut self, sm: usize, line: u64, requester: Requester);
-    /// See [`MemorySystem::note_stalled_probes`].
-    fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64);
-}
-
-/// Latencies and geometry every port needs; immutable for a run.
-#[derive(Debug, Clone)]
-pub(crate) struct MemParams {
-    line_bytes: u64,
-    l1_latency: u64,
-    half_l2_latency: u64,
-    rt_private: bool,
-}
-
 /// One SM's slice of the hierarchy: L1 + optional private RT cache +
-/// requester counters. Disjoint across SMs by construction; see the module
-/// docs for why that makes per-SM work parallelizable.
+/// requester counters.
 #[derive(Debug)]
-pub(crate) struct L1Shard {
+struct SmL1 {
     l1: Cache,
     rt_cache: Option<Cache>,
     lsu_accesses: u64,
     rt_accesses: u64,
 }
 
-impl L1Shard {
-    /// Presents one access; returns the outcome and at most one future
-    /// event for the shared heap.
-    fn access(
+impl SmL1 {
+    /// The cache `requester` uses: the private RT cache for RT-unit traffic
+    /// when the policy has one, the L1 otherwise.
+    fn cache_for(&mut self, requester: Requester) -> &mut Cache {
+        match (requester, &mut self.rt_cache) {
+            (Requester::RtUnit, Some(cache)) => cache,
+            _ => &mut self.l1,
+        }
+    }
+
+    fn count(&mut self, requester: Requester) {
+        match requester {
+            Requester::Lsu => self.lsu_accesses += 1,
+            Requester::RtUnit => self.rt_accesses += 1,
+        }
+    }
+
+    /// Outstanding misses in the L1 plus the private RT cache, if any.
+    fn mshrs_in_use(&self) -> usize {
+        self.l1.mshrs_in_use() + self.rt_cache.as_ref().map_or(0, Cache::mshrs_in_use)
+    }
+}
+
+/// The full hierarchy.
+#[derive(Debug)]
+pub struct MemorySystem {
+    line_bytes: u64,
+    l1_latency: u64,
+    half_l2_latency: u64,
+    rt_private: bool,
+    l1s: Vec<SmL1>,
+    l2_banks: Vec<Cache>,
+    l2_bank_busy: Vec<u64>,
+    dram: Vec<DramChannel>,
+    dram_banks: u64,
+    lines_per_row: u64,
+    events: BinaryHeap<Reverse<(u64, Event)>>,
+    dram_completions: Vec<(u64, u64)>,
+    /// SMs whose L1 (or private RT cache) received a fill during the most
+    /// recent tick; see [`MemorySystem::l1_touched`].
+    l1_touched: Vec<usize>,
+}
+
+impl MemorySystem {
+    /// Builds the hierarchy for `cfg`.
+    pub fn new(cfg: &GpuConfig) -> Self {
+        let l2_sets_per_bank = (cfg.l2_sets() / cfg.l2_banks).max(1);
+        let rt_cache_of = |_: usize| match cfg.rt_cache {
+            RtCachePolicy::SharedWithLsu => None,
+            RtCachePolicy::Private { bytes } => {
+                let sets = (bytes / (4 * cfg.line_bytes)).max(1);
+                Some(Cache::new(sets, 4, cfg.l1_mshrs))
+            }
+            // Bypass = a degenerate one-line cache: no capacity to
+            // pollute, but in-flight duplicate fetches still merge the
+            // way a pending-request queue would.
+            RtCachePolicy::Bypass => Some(Cache::new(1, 1, cfg.l1_mshrs)),
+        };
+        MemorySystem {
+            line_bytes: cfg.line_bytes as u64,
+            l1_latency: cfg.l1_latency,
+            half_l2_latency: cfg.l2_latency / 2,
+            rt_private: !matches!(cfg.rt_cache, RtCachePolicy::SharedWithLsu),
+            l1s: (0..cfg.num_sms)
+                .map(|i| SmL1 {
+                    l1: Cache::new(cfg.l1_sets(), cfg.l1_ways, cfg.l1_mshrs),
+                    rt_cache: rt_cache_of(i),
+                    lsu_accesses: 0,
+                    rt_accesses: 0,
+                })
+                .collect(),
+            l2_banks: (0..cfg.l2_banks)
+                .map(|_| Cache::new(l2_sets_per_bank, cfg.l2_ways, 64))
+                .collect(),
+            l2_bank_busy: vec![0; cfg.l2_banks],
+            dram: (0..cfg.dram_channels)
+                .map(|_| {
+                    DramChannel::new(
+                        cfg.dram_banks,
+                        cfg.dram_row_hit_cycles,
+                        cfg.dram_row_miss_cycles,
+                        cfg.dram_transfer_cycles,
+                    )
+                })
+                .collect(),
+            dram_banks: cfg.dram_banks as u64,
+            lines_per_row: cfg.lines_per_row(),
+            events: BinaryHeap::new(),
+            dram_completions: Vec::new(),
+            l1_touched: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, at: u64, event: Event) {
+        self.events.push(Reverse((at, event)));
+    }
+
+    /// Converts a byte address to a line number.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> u64 {
+        addr / self.line_bytes
+    }
+
+    /// The unique lines touched by `bytes` starting at `addr`.
+    pub fn lines_of_range(&self, addr: u64, bytes: u64) -> impl Iterator<Item = u64> {
+        let first = addr / self.line_bytes;
+        let last = (addr + bytes.max(1) - 1) / self.line_bytes;
+        first..=last
+    }
+
+    /// Presents one access to `sm`'s L1 port (the caller enforces the
+    /// one-access-per-cycle port sharing between LSU and RT FIFO when the
+    /// shared policy is active).
+    pub fn access(
         &mut self,
-        p: &MemParams,
         sm: usize,
         line: u64,
         waiter: u64,
         requester: Requester,
         now: u64,
-    ) -> (AccessOutcome, Option<(u64, Event)>) {
-        let (use_rt_cache, cache) = match (requester, &mut self.rt_cache) {
-            (Requester::RtUnit, Some(cache)) => (true, cache),
-            _ => (false, &mut self.l1),
-        };
-        let event = match cache.access(line, waiter) {
-            Lookup::Stall => return (AccessOutcome::Rejected, None),
+    ) -> AccessOutcome {
+        let slot = &mut self.l1s[sm];
+        let use_rt_cache = requester == Requester::RtUnit && slot.rt_cache.is_some();
+        let event = match slot.cache_for(requester).access(line, waiter) {
+            Lookup::Stall => return AccessOutcome::Rejected,
             Lookup::Hit => Some((
-                now + p.l1_latency,
+                now + self.l1_latency,
                 Event::Done {
                     sm: sm as u32,
                     waiter,
@@ -163,176 +220,71 @@ impl L1Shard {
                 } else {
                     sm as u32
                 };
-                Some((now + p.half_l2_latency, Event::L2Arrive { sm: tag, line }))
+                Some((
+                    now + self.half_l2_latency,
+                    Event::L2Arrive { sm: tag, line },
+                ))
             }
         };
-        match requester {
-            Requester::Lsu => self.lsu_accesses += 1,
-            Requester::RtUnit => self.rt_accesses += 1,
+        slot.count(requester);
+        if let Some((at, ev)) = event {
+            self.push(at, ev);
         }
-        (AccessOutcome::Accepted, event)
+        AccessOutcome::Accepted
     }
 
-    fn store(&mut self, line: u64, requester: Requester) {
-        self.l1.probe(line);
-        match requester {
-            Requester::Lsu => self.lsu_accesses += 1,
-            Requester::RtUnit => self.rt_accesses += 1,
-        }
+    /// A write-through store: counts an L1 access; no completion event (the
+    /// workloads keep their hot mutable state in shared memory).
+    pub fn store(&mut self, sm: usize, line: u64, requester: Requester) {
+        let slot = &mut self.l1s[sm];
+        slot.l1.probe(line);
+        slot.count(requester);
     }
 
-    fn can_accept(&self, line: u64, requester: Requester) -> bool {
-        match (requester, &self.rt_cache) {
+    /// Returns `true` if `sm`'s L1 MSHR file is full (the access would be
+    /// rejected).
+    pub fn l1_mshrs_full(&self, sm: usize) -> bool {
+        self.l1s[sm].l1.mshrs_full()
+    }
+
+    /// Outstanding misses tracked by `sm`'s L1 plus its private RT cache, if
+    /// any (deadlock diagnostics: in-flight memory the SM is waiting on).
+    pub fn l1_mshrs_in_use(&self, sm: usize) -> usize {
+        self.l1s[sm].mshrs_in_use()
+    }
+
+    /// Returns `true` when the RT unit has a private path to memory (the
+    /// shared L1 port need not be arbitrated).
+    pub fn rt_has_private_path(&self) -> bool {
+        self.rt_private
+    }
+
+    /// Whether presenting `line` on `sm`'s port for `requester` would be
+    /// accepted this cycle (i.e. [`MemorySystem::access`] would not return
+    /// [`AccessOutcome::Rejected`]). Non-mutating; used by `Sm::next_event`
+    /// to distinguish a queue that can make progress next cycle from one
+    /// blocked until a fill frees an MSHR — the latter's wakeup is already
+    /// owned by this system's event heap.
+    pub fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
+        let slot = &self.l1s[sm];
+        match (requester, &slot.rt_cache) {
             (Requester::RtUnit, Some(cache)) => cache.can_accept(line),
-            _ => self.l1.can_accept(line),
+            _ => slot.l1.can_accept(line),
         }
     }
 
-    fn note_stalled_probes(&mut self, requester: Requester, count: u64) {
-        match (requester, &mut self.rt_cache) {
-            (Requester::RtUnit, Some(cache)) => cache.note_stalled_probes(count),
-            _ => self.l1.note_stalled_probes(count),
-        }
-    }
-
-    /// Outstanding misses in the L1 plus the private RT cache, if any.
-    pub(crate) fn mshrs_in_use(&self) -> usize {
-        self.l1.mshrs_in_use() + self.rt_cache.as_ref().map_or(0, Cache::mshrs_in_use)
-    }
-}
-
-/// Locks a shard, recovering from poison (a panicking worker already
-/// aborts the run; its shard's counters remain usable for diagnostics).
-pub(crate) fn lock_shard(shard: &Mutex<L1Shard>) -> MutexGuard<'_, L1Shard> {
-    shard
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A buffer of future events produced by one SM during an epoch, merged
-/// into the shared heap at the barrier via `MemCore::absorb`. Opaque so the
-/// event vocabulary stays private to this module.
-#[derive(Debug, Default)]
-pub(crate) struct EventBuf(Vec<(u64, Event)>);
-
-impl EventBuf {
-    pub(crate) fn new() -> Self {
-        EventBuf(Vec::new())
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// An SM-exclusive L1 port for parallel-epoch workers: holds the shard's
-/// lock for the duration of one cycle's SM phase and buffers event pushes
-/// locally. The barrier later absorbs the buffer into the shared heap;
-/// ordering is immaterial (see the module docs), so no cross-thread
-/// coordination is needed during the phase.
-pub(crate) struct SmPort<'a> {
-    sm: usize,
-    params: &'a MemParams,
-    shard: MutexGuard<'a, L1Shard>,
-    out: &'a mut EventBuf,
-}
-
-impl<'a> SmPort<'a> {
-    pub(crate) fn new(
-        params: &'a MemParams,
-        shards: &'a [Mutex<L1Shard>],
-        sm: usize,
-        out: &'a mut EventBuf,
-    ) -> Self {
-        SmPort {
-            sm,
-            params,
-            shard: lock_shard(&shards[sm]),
-            out,
-        }
-    }
-}
-
-impl MemPort for SmPort<'_> {
-    fn rt_has_private_path(&self) -> bool {
-        self.params.rt_private
-    }
-
-    fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        self.shard.can_accept(line, requester)
-    }
-
-    fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        let (outcome, event) =
-            self.shard
-                .access(self.params, self.sm, line, waiter, requester, now);
-        if let Some(ev) = event {
-            self.out.0.push(ev);
-        }
-        outcome
-    }
-
-    fn store(&mut self, sm: usize, line: u64, requester: Requester) {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        self.shard.store(line, requester);
-    }
-
-    fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        self.shard.note_stalled_probes(requester, count);
-    }
-}
-
-/// The shared (single-owner) part of the hierarchy: event heap, L2 banks,
-/// DRAM channels. In the parallel-epoch mode only the barrier thread holds
-/// it; SM workers never see it.
-#[derive(Debug)]
-pub(crate) struct MemCore {
-    l2_banks: Vec<Cache>,
-    l2_bank_busy: Vec<u64>,
-    dram: Vec<DramChannel>,
-    dram_banks: u64,
-    lines_per_row: u64,
-    events: BinaryHeap<Reverse<(u64, Event)>>,
-    dram_completions: Vec<(u64, u64)>,
-    /// SMs whose L1 (or private RT cache) received a fill during the most
-    /// recent tick; see [`MemorySystem::l1_touched`].
-    l1_touched: Vec<usize>,
-}
-
-impl MemCore {
-    fn push(&mut self, at: u64, event: Event) {
-        self.events.push(Reverse((at, event)));
-    }
-
-    /// Merges an epoch's buffered events into the heap. Absorption order
-    /// does not affect drain order (the heap pops sorted), but callers
-    /// absorb in fixed SM-index order anyway so the merge is reproducible
-    /// step by step.
-    pub(crate) fn absorb(&mut self, buf: &mut EventBuf) {
-        for (at, event) in buf.0.drain(..) {
-            self.events.push(Reverse((at, event)));
-        }
+    /// Bulk-accounts `count` rejected port presentations by `requester` on
+    /// `sm`, exactly as `count` per-cycle retries ending in
+    /// [`AccessOutcome::Rejected`] would have (stall statistics only — a
+    /// rejected access never reaches the requester counters). Called by
+    /// `Sm::fast_forward` so the stepped oracle and the event-driven loop
+    /// report identical stall streams.
+    pub fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
+        self.l1s[sm].cache_for(requester).note_stalled_probes(count);
     }
 
     /// Advances one cycle; appends `(sm, waiter)` completions to `done`.
-    /// Needs the shards because L1 fills land in per-SM caches.
-    pub(crate) fn tick(
-        &mut self,
-        now: u64,
-        done: &mut Vec<(usize, u64)>,
-        params: &MemParams,
-        shards: &[Mutex<L1Shard>],
-    ) {
+    pub fn tick(&mut self, now: u64, done: &mut Vec<(usize, u64)>) {
         // DRAM channels progress independently.
         self.dram_completions.clear();
         self.l1_touched.clear();
@@ -366,7 +318,7 @@ impl MemCore {
                     self.l2_bank_busy[bank] = now + 1;
                     match self.l2_banks[bank].access(line, sm as u64) {
                         Lookup::Hit => {
-                            self.push(now + params.half_l2_latency, Event::L1Fill { sm, line });
+                            self.push(now + self.half_l2_latency, Event::L1Fill { sm, line });
                         }
                         Lookup::MshrHit => {}
                         Lookup::Miss => {
@@ -390,7 +342,7 @@ impl MemCore {
                     let bank = self.bank_of(line);
                     for sm in self.l2_banks[bank].fill(line) {
                         self.push(
-                            now + params.half_l2_latency,
+                            now + self.half_l2_latency,
                             Event::L1Fill {
                                 sm: sm as u32,
                                 line,
@@ -402,18 +354,17 @@ impl MemCore {
                     let is_rt = sm & RT_FILL != 0;
                     let sm_idx = (sm & !RT_FILL) as usize;
                     self.l1_touched.push(sm_idx);
-                    let mut shard = lock_shard(&shards[sm_idx]);
-                    let waiters = match (is_rt, &mut shard.rt_cache) {
+                    let slot = &mut self.l1s[sm_idx];
+                    let waiters = match (is_rt, &mut slot.rt_cache) {
                         (true, Some(cache)) => cache.fill(line),
                         // An RT-tagged fill can only originate from an
                         // RT-cache access, which requires the cache to exist.
                         (true, None) => unreachable!("RT fill without an RT cache"),
-                        (false, _) => shard.l1.fill(line),
+                        (false, _) => slot.l1.fill(line),
                     };
-                    drop(shard);
                     for waiter in waiters {
                         self.push(
-                            now + params.l1_latency,
+                            now + self.l1_latency,
                             Event::Done {
                                 sm: sm_idx as u32,
                                 waiter,
@@ -429,191 +380,8 @@ impl MemCore {
     }
 
     /// Returns `true` when no request is in flight anywhere.
-    pub(crate) fn quiescent(&self) -> bool {
-        self.events.is_empty() && self.dram.iter().all(|d| d.queue_len() == 0)
-    }
-
-    /// See [`MemorySystem::next_event`].
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        let mut next = self.events.peek().map(|Reverse((at, _))| *at);
-        for d in &self.dram {
-            next = match (next, d.next_service_cycle()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        next.map(|t| t.max(now + 1))
-    }
-
-    /// See [`MemorySystem::l1_touched`].
-    pub(crate) fn l1_touched(&self) -> &[usize] {
-        &self.l1_touched
-    }
-
-    fn bank_of(&self, line: u64) -> usize {
-        (line % self.l2_banks.len() as u64) as usize
-    }
-
-    fn channel_of(&self, line: u64) -> usize {
-        (line % self.dram.len() as u64) as usize
-    }
-}
-
-/// The full hierarchy.
-#[derive(Debug)]
-pub struct MemorySystem {
-    params: MemParams,
-    shards: Vec<Mutex<L1Shard>>,
-    core: MemCore,
-}
-
-impl MemorySystem {
-    /// Builds the hierarchy for `cfg`.
-    pub fn new(cfg: &GpuConfig) -> Self {
-        let l2_sets_per_bank = (cfg.l2_sets() / cfg.l2_banks).max(1);
-        let rt_cache_of = |_: usize| match cfg.rt_cache {
-            RtCachePolicy::SharedWithLsu => None,
-            RtCachePolicy::Private { bytes } => {
-                let sets = (bytes / (4 * cfg.line_bytes)).max(1);
-                Some(Cache::new(sets, 4, cfg.l1_mshrs))
-            }
-            // Bypass = a degenerate one-line cache: no capacity to
-            // pollute, but in-flight duplicate fetches still merge the
-            // way a pending-request queue would.
-            RtCachePolicy::Bypass => Some(Cache::new(1, 1, cfg.l1_mshrs)),
-        };
-        MemorySystem {
-            params: MemParams {
-                line_bytes: cfg.line_bytes as u64,
-                l1_latency: cfg.l1_latency,
-                half_l2_latency: cfg.l2_latency / 2,
-                rt_private: !matches!(cfg.rt_cache, RtCachePolicy::SharedWithLsu),
-            },
-            shards: (0..cfg.num_sms)
-                .map(|i| {
-                    Mutex::new(L1Shard {
-                        l1: Cache::new(cfg.l1_sets(), cfg.l1_ways, cfg.l1_mshrs),
-                        rt_cache: rt_cache_of(i),
-                        lsu_accesses: 0,
-                        rt_accesses: 0,
-                    })
-                })
-                .collect(),
-            core: MemCore {
-                l2_banks: (0..cfg.l2_banks)
-                    .map(|_| Cache::new(l2_sets_per_bank, cfg.l2_ways, 64))
-                    .collect(),
-                l2_bank_busy: vec![0; cfg.l2_banks],
-                dram: (0..cfg.dram_channels)
-                    .map(|_| {
-                        DramChannel::new(
-                            cfg.dram_banks,
-                            cfg.dram_row_hit_cycles,
-                            cfg.dram_row_miss_cycles,
-                            cfg.dram_transfer_cycles,
-                        )
-                    })
-                    .collect(),
-                dram_banks: cfg.dram_banks as u64,
-                lines_per_row: cfg.lines_per_row(),
-                events: BinaryHeap::new(),
-                dram_completions: Vec::new(),
-                l1_touched: Vec::new(),
-            },
-        }
-    }
-
-    /// Splits the hierarchy for a parallel-epoch run: the single-owner core
-    /// for the barrier thread, plus the read-shared params and the shard
-    /// array for SM workers.
-    pub(crate) fn split(&mut self) -> (&mut MemCore, &MemParams, &[Mutex<L1Shard>]) {
-        (&mut self.core, &self.params, &self.shards)
-    }
-
-    /// Converts a byte address to a line number.
-    #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.params.line_bytes
-    }
-
-    /// The unique lines touched by `bytes` starting at `addr`.
-    pub fn lines_of_range(&self, addr: u64, bytes: u64) -> impl Iterator<Item = u64> {
-        let first = addr / self.params.line_bytes;
-        let last = (addr + bytes.max(1) - 1) / self.params.line_bytes;
-        first..=last
-    }
-
-    /// Presents one access to `sm`'s L1 port (the caller enforces the
-    /// one-access-per-cycle port sharing between LSU and RT FIFO when the
-    /// shared policy is active).
-    pub fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome {
-        let (outcome, event) =
-            lock_shard(&self.shards[sm]).access(&self.params, sm, line, waiter, requester, now);
-        if let Some((at, ev)) = event {
-            self.core.push(at, ev);
-        }
-        outcome
-    }
-
-    /// A write-through store: counts an L1 access; no completion event (the
-    /// workloads keep their hot mutable state in shared memory).
-    pub fn store(&mut self, sm: usize, line: u64, requester: Requester) {
-        lock_shard(&self.shards[sm]).store(line, requester);
-    }
-
-    /// Returns `true` if `sm`'s L1 MSHR file is full (the access would be
-    /// rejected).
-    pub fn l1_mshrs_full(&self, sm: usize) -> bool {
-        lock_shard(&self.shards[sm]).l1.mshrs_full()
-    }
-
-    /// Outstanding misses tracked by `sm`'s L1 plus its private RT cache, if
-    /// any (deadlock diagnostics: in-flight memory the SM is waiting on).
-    pub fn l1_mshrs_in_use(&self, sm: usize) -> usize {
-        lock_shard(&self.shards[sm]).mshrs_in_use()
-    }
-
-    /// Returns `true` when the RT unit has a private path to memory (the
-    /// shared L1 port need not be arbitrated).
-    pub fn rt_has_private_path(&self) -> bool {
-        self.params.rt_private
-    }
-
-    /// Whether presenting `line` on `sm`'s port for `requester` would be
-    /// accepted this cycle (i.e. [`MemorySystem::access`] would not return
-    /// [`AccessOutcome::Rejected`]). Non-mutating; used by `Sm::next_event`
-    /// to distinguish a queue that can make progress next cycle from one
-    /// blocked until a fill frees an MSHR — the latter's wakeup is already
-    /// owned by this system's event heap.
-    pub fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        lock_shard(&self.shards[sm]).can_accept(line, requester)
-    }
-
-    /// Bulk-accounts `count` rejected port presentations by `requester` on
-    /// `sm`, exactly as `count` per-cycle retries ending in
-    /// [`AccessOutcome::Rejected`] would have (stall statistics only — a
-    /// rejected access never reaches the requester counters). Called by
-    /// `Sm::fast_forward` so the stepped oracle and the event-driven loop
-    /// report identical stall streams.
-    pub fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        lock_shard(&self.shards[sm]).note_stalled_probes(requester, count);
-    }
-
-    /// Advances one cycle; appends `(sm, waiter)` completions to `done`.
-    pub fn tick(&mut self, now: u64, done: &mut Vec<(usize, u64)>) {
-        self.core.tick(now, done, &self.params, &self.shards);
-    }
-
-    /// Returns `true` when no request is in flight anywhere.
     pub fn quiescent(&self) -> bool {
-        self.core.quiescent()
+        self.events.is_empty() && self.dram.iter().all(|d| d.queue_len() == 0)
     }
 
     /// The earliest future cycle at which [`MemorySystem::tick`] can do any
@@ -628,7 +396,14 @@ impl MemorySystem {
     /// (now)` has drained everything due at `now`; the result is clamped to
     /// `now + 1` so the caller always advances.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.core.next_event(now)
+        let mut next = self.events.peek().map(|Reverse((at, _))| *at);
+        for d in &self.dram {
+            next = match (next, d.next_service_cycle()) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+        }
+        next.map(|t| t.max(now + 1))
     }
 
     /// SMs whose L1 (or private RT cache) received a fill during the most
@@ -636,7 +411,15 @@ impl MemorySystem {
     /// [`MemorySystem::can_accept`] answers may just have flipped. May
     /// contain duplicates; order follows event-drain order.
     pub fn l1_touched(&self) -> &[usize] {
-        self.core.l1_touched()
+        &self.l1_touched
+    }
+
+    fn bank_of(&self, line: u64) -> usize {
+        (line % self.l2_banks.len() as u64) as usize
+    }
+
+    fn channel_of(&self, line: u64) -> usize {
+        (line % self.dram.len() as u64) as usize
     }
 
     /// Aggregated statistics across all components.
@@ -645,25 +428,24 @@ impl MemorySystem {
         let mut rt_cache = CacheStats::default();
         let mut lsu_accesses = 0;
         let mut rt_accesses = 0;
-        for shard in &self.shards {
-            let shard = lock_shard(shard);
-            let s = shard.l1.stats();
+        for slot in &self.l1s {
+            let s = slot.l1.stats();
             l1.hits += s.hits;
             l1.mshr_hits += s.mshr_hits;
             l1.misses += s.misses;
             l1.mshr_stalls += s.mshr_stalls;
-            if let Some(rt) = &shard.rt_cache {
+            if let Some(rt) = &slot.rt_cache {
                 let s = rt.stats();
                 rt_cache.hits += s.hits;
                 rt_cache.mshr_hits += s.mshr_hits;
                 rt_cache.misses += s.misses;
                 rt_cache.mshr_stalls += s.mshr_stalls;
             }
-            lsu_accesses += shard.lsu_accesses;
-            rt_accesses += shard.rt_accesses;
+            lsu_accesses += slot.lsu_accesses;
+            rt_accesses += slot.rt_accesses;
         }
         let mut l2 = CacheStats::default();
-        for c in &self.core.l2_banks {
+        for c in &self.l2_banks {
             let s = c.stats();
             l2.hits += s.hits;
             l2.mshr_hits += s.mshr_hits;
@@ -671,7 +453,7 @@ impl MemorySystem {
             l2.mshr_stalls += s.mshr_stalls;
         }
         let mut dram = DramStats::default();
-        for d in &self.core.dram {
+        for d in &self.dram {
             let s = d.stats();
             dram.accesses += s.accesses;
             dram.row_hits += s.row_hits;
@@ -685,35 +467,6 @@ impl MemorySystem {
             l2,
             dram,
         }
-    }
-}
-
-impl MemPort for MemorySystem {
-    fn rt_has_private_path(&self) -> bool {
-        MemorySystem::rt_has_private_path(self)
-    }
-
-    fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        MemorySystem::can_accept(self, sm, line, requester)
-    }
-
-    fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome {
-        MemorySystem::access(self, sm, line, waiter, requester, now)
-    }
-
-    fn store(&mut self, sm: usize, line: u64, requester: Requester) {
-        MemorySystem::store(self, sm, line, requester)
-    }
-
-    fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        MemorySystem::note_stalled_probes(self, sm, requester, count)
     }
 }
 
@@ -898,43 +651,5 @@ mod tests {
         assert_eq!(waiters, vec![1, 2, 3]);
         // One DRAM access despite three waiters.
         assert_eq!(mem.stats().dram.accesses, 1);
-    }
-
-    #[test]
-    fn sm_port_buffers_events_identically_to_the_serial_port() {
-        // Drive the same access stream through the serial MemorySystem port
-        // and through an SmPort whose buffer is absorbed afterwards: both
-        // hierarchies must then deliver identical completion streams. This
-        // pins the epoch-drain contract at the module level.
-        let cfg = GpuConfig::tiny();
-        let mut serial = MemorySystem::new(&cfg);
-        let mut sharded = MemorySystem::new(&cfg);
-        let stream = [(0u64, 1u64), (7, 2), (7, 3), (129, 4)];
-        for &(line, waiter) in &stream {
-            assert_eq!(
-                MemPort::access(&mut serial, 0, line, waiter, Requester::Lsu, 0),
-                AccessOutcome::Accepted
-            );
-        }
-        let mut buf = EventBuf::new();
-        {
-            let (_, params, shards) = sharded.split();
-            let mut port = SmPort::new(params, shards, 0, &mut buf);
-            for &(line, waiter) in &stream {
-                assert_eq!(
-                    port.access(0, line, waiter, Requester::Lsu, 0),
-                    AccessOutcome::Accepted
-                );
-            }
-            assert!(port.can_accept(0, 0, Requester::Lsu));
-        }
-        assert!(!buf.is_empty());
-        let (core, _, _) = sharded.split();
-        core.absorb(&mut buf);
-        assert!(buf.is_empty());
-        let a = run_until_done(&mut serial, 4, 100_000);
-        let b = run_until_done(&mut sharded, 4, 100_000);
-        assert_eq!(a, b, "completion streams diverged");
-        assert_eq!(serial.stats(), sharded.stats());
     }
 }

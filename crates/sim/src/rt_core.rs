@@ -3,9 +3,8 @@
 //!
 //! The SM talks to one [`RtCore`] value; every method delegates to the
 //! selected organization. An enum (rather than a trait object) keeps the
-//! unit inline in [`crate::sm::Sm`], keeps `Send` for the parallel-epoch
-//! mode trivial, and lets the two organizations expose the exact same
-//! typed surface — the cross-organization differential harness in
+//! unit inline in [`crate::sm::Sm`] and lets the two organizations expose
+//! the exact same typed surface — the cross-organization differential harness in
 //! `tests/rt_organization.rs` depends on the functional columns of
 //! [`RtUnitStats`] meaning the same thing under either arm.
 

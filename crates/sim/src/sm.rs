@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
-use crate::memory::{AccessOutcome, MemPort, Requester};
+use crate::memory::{AccessOutcome, MemorySystem, Requester};
 use crate::rt_core::RtCore;
 use crate::trace::{OpClass, ThreadOp, WarpInstruction, WarpTrace};
 
@@ -159,7 +159,7 @@ impl Sm {
     /// * a timer wait reports `max(wakeup, sub-core free)` — waking a warp
     ///   into a busy sub-core changes only its status word, which is
     ///   unobservable until the warp can issue.
-    pub fn next_event(&self, now: u64, mem: &impl MemPort) -> Option<u64> {
+    pub fn next_event(&self, now: u64, mem: &MemorySystem) -> Option<u64> {
         // Launching needs a free or finished slot; if none exists the launch
         // queue only drains after a retirement, which another event causes.
         let can_launch = !self.launch_queue.is_empty()
@@ -200,7 +200,7 @@ impl Sm {
     /// still record one rejected probe per cycle (MSHR-stall statistics and
     /// the cache's port-use counter), and the shared L1 port's round-robin
     /// bit keeps toggling while both requesters are waiting.
-    pub fn fast_forward(&mut self, cycles: u64, mem: &mut impl MemPort) {
+    pub fn fast_forward(&mut self, cycles: u64, mem: &mut MemorySystem) {
         let lsu_pending = !self.lsu_queue.is_empty();
         let rt_pending = self.rt.peek_fifo().is_some();
         if mem.rt_has_private_path() {
@@ -279,7 +279,7 @@ impl Sm {
     /// [`SimError::IllegalDispatch`] if the cycle's issue stage routes an op
     /// to a unit that cannot execute it (see [`Sm::on_mem_done`] and the
     /// RT-unit dispatch path).
-    pub fn tick(&mut self, now: u64, mem: &mut impl MemPort) -> Result<(), SimError> {
+    pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) -> Result<(), SimError> {
         self.fill_resident_slots();
         self.unblock_timed_warps(now);
 
@@ -355,7 +355,7 @@ impl Sm {
     /// unit's FIFO (they time-share the cache, §VI-H). Under a private or
     /// bypass RT-cache policy (§VI-I) the RT FIFO gets its own port and both
     /// sides proceed each cycle.
-    fn arbitrate_l1_port(&mut self, now: u64, mem: &mut impl MemPort) {
+    fn arbitrate_l1_port(&mut self, now: u64, mem: &mut MemorySystem) {
         let lsu_pending = !self.lsu_queue.is_empty();
         let rt_pending = self.rt.peek_fifo().is_some();
         if mem.rt_has_private_path() {
@@ -381,7 +381,7 @@ impl Sm {
         }
     }
 
-    fn issue_rt_fetch(&mut self, now: u64, mem: &mut impl MemPort) {
+    fn issue_rt_fetch(&mut self, now: u64, mem: &mut MemorySystem) {
         let Some(req) = self.rt.pop_fifo() else {
             return;
         };
@@ -392,7 +392,7 @@ impl Sm {
         }
     }
 
-    fn issue_lsu_access(&mut self, now: u64, mem: &mut impl MemPort) {
+    fn issue_lsu_access(&mut self, now: u64, mem: &mut MemorySystem) {
         let Some(&(line, slot)) = self.lsu_queue.front() else {
             return;
         };
@@ -440,7 +440,7 @@ impl Sm {
         best.map(|(_, i)| i)
     }
 
-    fn issue(&mut self, now: u64, mem: &mut impl MemPort) -> Result<(), SimError> {
+    fn issue(&mut self, now: u64, mem: &mut MemorySystem) -> Result<(), SimError> {
         // The pick/request buffers live on the SM so the hot path allocates
         // nothing; a terminal error may leave them taken, which only costs
         // a fresh allocation on a run that is already dead.
@@ -455,7 +455,7 @@ impl Sm {
     fn issue_inner(
         &mut self,
         now: u64,
-        mem: &mut impl MemPort,
+        mem: &mut MemorySystem,
         picks: &mut Vec<Option<usize>>,
         hsu_requests: &mut Vec<bool>,
     ) -> Result<(), SimError> {
@@ -720,7 +720,6 @@ fn coalesce_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemorySystem;
     use crate::trace::{KernelTrace, ThreadTrace};
 
     fn single_warp_kernel(ops: Vec<ThreadOp>, lanes: usize) -> WarpTrace {

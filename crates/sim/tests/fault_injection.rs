@@ -1,7 +1,7 @@
 //! Fault-injection harness: every fault class must surface as its matching
 //! typed [`SimError`] — never a panic, never a process abort — and healthy
 //! runs must stay byte-identical to their fault-free twins in every
-//! simulation mode (parallel-epoch included, for every thread count).
+//! simulation mode.
 //!
 //! The corruptions come from [`hsu_sim::faults`], which guarantees they are
 //! real faults; this suite proves the *simulator's* side of the contract.
@@ -141,16 +141,10 @@ fn pathological_configs_surface_as_invalid_config() {
     }
 }
 
-/// Thread counts the parallel-epoch fault cases sweep: the inline path,
-/// real barriers with an uneven lane split, and more workers than SMs.
-const FAULT_THREAD_SWEEP: [usize; 3] = [1, 2, 8];
-
 #[test]
 fn forced_deadlock_reports_identical_payloads_in_every_mode() {
     let kernel = forced_deadlock_kernel();
-    // Every (mode, threads) pair that can execute the kernel; `sim_threads`
-    // is ignored outside parallel-epoch, so the serial modes run once.
-    let mut configs = vec![
+    let configs = vec![
         GpuConfig {
             sim_mode: SimMode::Stepped,
             ..forced_deadlock_config()
@@ -160,13 +154,6 @@ fn forced_deadlock_reports_identical_payloads_in_every_mode() {
             ..forced_deadlock_config()
         },
     ];
-    for threads in FAULT_THREAD_SWEEP {
-        configs.push(GpuConfig {
-            sim_mode: SimMode::ParallelEpoch,
-            sim_threads: threads,
-            ..forced_deadlock_config()
-        });
-    }
     let reports: Vec<SimError> = configs
         .into_iter()
         .map(|cfg| {
@@ -216,46 +203,6 @@ fn watchdog_deadline_yields_a_typed_watchdog_error() {
     match err {
         SimError::Watchdog { cause, .. } => assert_eq!(cause, WatchdogCause::Deadline),
         other => panic!("expected Watchdog, got {other:?}"),
-    }
-}
-
-/// The parallel-epoch loop must shut its worker pool down cleanly on every
-/// watchdog path and surface the same typed error as the serial modes —
-/// a hang here (a worker parked on a barrier that never releases) would
-/// time the test out rather than fail an assertion.
-#[test]
-fn watchdog_faults_are_typed_identically_under_parallel_epoch() {
-    let kernel = sample_kernel(64, 8);
-    for threads in FAULT_THREAD_SWEEP {
-        let cfg = GpuConfig {
-            sim_mode: SimMode::ParallelEpoch,
-            sim_threads: threads,
-            ..GpuConfig::tiny()
-        };
-
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let limits = RunLimits::none().with_cancel(cancel);
-        let err = Gpu::new(cfg.clone())
-            .run_guarded(&kernel, &limits)
-            .expect_err("pre-cancelled run must stop");
-        match err {
-            SimError::Watchdog { cause, .. } => {
-                assert_eq!(cause, WatchdogCause::Cancelled, "{threads} threads");
-            }
-            other => panic!("expected Watchdog ({threads} threads), got {other:?}"),
-        }
-
-        let limits = RunLimits::none().with_deadline(std::time::Instant::now());
-        let err = Gpu::new(cfg)
-            .run_guarded(&kernel, &limits)
-            .expect_err("expired deadline must stop the run");
-        match err {
-            SimError::Watchdog { cause, .. } => {
-                assert_eq!(cause, WatchdogCause::Deadline, "{threads} threads");
-            }
-            other => panic!("expected Watchdog ({threads} threads), got {other:?}"),
-        }
     }
 }
 
@@ -319,7 +266,7 @@ fn every_fault_class_is_pinned_to_trace_decode_for_both_organizations() {
 }
 
 /// The forced-deadlock pair must trip the cycle guard with *identical*
-/// diagnostics under the treelet core, in every mode and thread count. The
+/// diagnostics under the treelet core, in every mode. The
 /// kernel carries no HSU ops, so the organizations run in lockstep and any
 /// payload divergence is an organization bug, not a modelling difference.
 #[test]
@@ -335,23 +282,16 @@ fn forced_deadlock_payloads_agree_across_organizations() {
         rt_core: RtCoreKind::Treelet,
         ..forced_deadlock_config()
     };
-    let mut configs = vec![
+    let configs = vec![
         GpuConfig {
             sim_mode: SimMode::Stepped,
             ..treelet.clone()
         },
         GpuConfig {
             sim_mode: SimMode::Event,
-            ..treelet.clone()
+            ..treelet
         },
     ];
-    for threads in FAULT_THREAD_SWEEP {
-        configs.push(GpuConfig {
-            sim_mode: SimMode::ParallelEpoch,
-            sim_threads: threads,
-            ..treelet.clone()
-        });
-    }
     for (i, cfg) in configs.into_iter().enumerate() {
         let err = Gpu::new(cfg)
             .run(&kernel)

@@ -12,9 +12,9 @@
 //! Three layers of evidence, mirroring `sim_equivalence.rs`:
 //!
 //! 1. property tests over random kernels × random machine geometries ×
-//!    random staging-buffer depths, crossed with all three `SimMode`s per
+//!    random staging-buffer depths, crossed with both `SimMode`s per
 //!    organization (each organization must also stay self-consistent across
-//!    modes — {Baseline, Treelet} × {Stepped, Event, ParallelEpoch}),
+//!    modes — {Baseline, Treelet} × {Stepped, Event}),
 //! 2. the five golden workloads, run under both organizations, with the
 //!    baseline leg additionally pinned against `golden_reports.rs` numbers
 //!    (adding the second core must not move the first),
@@ -27,9 +27,6 @@ use hsu::prelude::*;
 use hsu::sim::config::RtCoreKind;
 use hsu::sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 use proptest::prelude::*;
-
-/// Worker-thread counts the parallel-epoch legs sweep.
-const THREAD_COUNTS: [usize; 2] = [1, 2];
 
 /// The functional projection of a [`SimReport`]: every column a search
 /// result depends on, and none of the timing/locality columns the two
@@ -59,14 +56,14 @@ fn functional(report: &SimReport) -> FunctionalReport {
     }
 }
 
-/// Runs `kernel` under one organization in all three modes, asserts the
+/// Runs `kernel` under one organization in both modes, asserts the
 /// modes are bit-identical (normalized), and returns the event-mode report.
 fn run_org(cfg: &GpuConfig, kernel: &KernelTrace, kind: RtCoreKind) -> SimReport {
     let cfg = cfg.clone().with_rt_core(kind);
     let stepped = Gpu::new(cfg.clone().with_sim_mode(SimMode::Stepped))
         .run(kernel)
         .expect("stepped run failed");
-    let event = Gpu::new(cfg.clone().with_sim_mode(SimMode::Event))
+    let event = Gpu::new(cfg.with_sim_mode(SimMode::Event))
         .run(kernel)
         .expect("event run failed");
     assert_eq!(
@@ -75,26 +72,11 @@ fn run_org(cfg: &GpuConfig, kernel: &KernelTrace, kind: RtCoreKind) -> SimReport
         "{}: architectural counters diverged between modes",
         kind.name()
     );
-    for threads in THREAD_COUNTS {
-        let parallel = Gpu::new(
-            cfg.clone()
-                .with_sim_mode(SimMode::ParallelEpoch)
-                .with_sim_threads(threads),
-        )
-        .run(kernel)
-        .expect("parallel-epoch run failed");
-        assert_eq!(
-            stepped.normalized(),
-            parallel.normalized(),
-            "{}: parallel-epoch ({threads} threads) diverged from the oracle",
-            kind.name()
-        );
-    }
     event
 }
 
 /// The full matrix check for one kernel on one machine: {Baseline, Treelet}
-/// × {Stepped, Event, ParallelEpoch} agree on every functional column;
+/// × {Stepped, Event} agree on every functional column;
 /// organization-specific columns stay in their lane.
 fn assert_orgs_agree(cfg: &GpuConfig, kernel: &KernelTrace) -> (SimReport, SimReport) {
     let baseline = run_org(cfg, kernel, RtCoreKind::Baseline);
@@ -190,7 +172,7 @@ proptest! {
 
     /// The core cross-organization property: for ANY kernel on ANY machine,
     /// the treelet core computes exactly what the baseline computes — in
-    /// all three simulation modes — while only timing columns move.
+    /// both simulation modes — while only timing columns move.
     #[test]
     fn organizations_agree_on_random_kernels_and_machines(
         kernel in arb_kernel(),
@@ -252,7 +234,7 @@ fn golden_traces() -> Vec<(&'static str, KernelTrace)> {
     traces
 }
 
-/// The golden matrix: five workloads × two organizations × three modes.
+/// The golden matrix: five workloads × two organizations × two modes.
 /// This is the leg ci.sh runs at smoke scale.
 #[test]
 fn golden_workloads_agree_across_organizations() {
