@@ -181,18 +181,17 @@ impl DatapathPipeline {
     }
 
     /// Advances every in-flight operation by one stage and ends the cycle.
-    /// Operations leaving the last stage are returned (at most one, since the
-    /// initiation interval is one).
-    pub fn tick(&mut self) -> Vec<Completion> {
+    /// Returns the operation leaving the last stage, if any (at most one,
+    /// since the initiation interval is one).
+    pub fn tick(&mut self) -> Option<Completion> {
         self.stats.cycles += 1;
         self.issued_this_cycle = false;
-        let mut out = Vec::new();
-        if let Some(done) = self.stages.pop_back().flatten() {
+        let done = self.stages.pop_back().flatten();
+        if let Some(done) = done {
             self.stats.completed[done.mode.index()] += 1;
-            out.push(done);
         }
         self.stages.push_front(None);
-        out
+        done
     }
 
     /// Accounts `cycles` idle cycles at once — the event-driven simulator
@@ -246,8 +245,8 @@ mod tests {
         loop {
             let done = pipe.tick();
             cycles += 1;
-            if !done.is_empty() {
-                assert_eq!(done[0].tag, 42);
+            if let Some(done) = done {
+                assert_eq!(done.tag, 42);
                 break;
             }
             assert!(cycles <= PIPELINE_DEPTH as u64, "op never completed");
@@ -261,7 +260,7 @@ mod tests {
         let mut ticked = DatapathPipeline::new();
         let mut skipped = DatapathPipeline::new();
         for _ in 0..37 {
-            assert!(ticked.tick().is_empty());
+            assert!(ticked.tick().is_none());
         }
         skipped.fast_forward(37);
         assert_eq!(ticked.stats(), skipped.stats());
@@ -317,7 +316,7 @@ mod tests {
         pipe.issue(OperatingMode::RayBox, 1);
         let mut tags = Vec::new();
         for _ in 0..PIPELINE_DEPTH + 2 {
-            tags.extend(pipe.tick().into_iter().map(|c| c.tag));
+            tags.extend(pipe.tick().map(|c| c.tag));
         }
         assert_eq!(tags, vec![0, 1]);
         assert!(pipe.is_empty());

@@ -210,7 +210,7 @@ fn front_end_conserves_lanes_under_contention() {
         }
 
         // Completions come back 9 cycles later.
-        for done in pipe.tick() {
+        if let Some(done) = pipe.tick() {
             let entry = (done.tag >> 8) as usize;
             let lane = (done.tag & 0xff) as usize;
             buffer.mark_completed(entry, lane);

@@ -56,15 +56,28 @@ impl Gpu {
     /// oracle loop). Under [`SimMode::Event`] the loop asks each component
     /// for the earliest cycle its state can change and jumps straight there
     /// — and within each visited cycle it ticks only the SMs that can
-    /// observe it. An SM sleeps until one of three wakeups: a completion is
-    /// delivered to it, its L1 (or private RT cache) receives a fill (which
-    /// frees an MSHR and can flip what the port accepts), or its own
-    /// self-reported [`Sm::next_event`] cycle arrives. Every cycle an SM
-    /// sleeps through is provably a no-op for it in the stepped machine —
-    /// its warps are blocked on timers, busy issue slots, or memory
-    /// (including L1 queues whose head the cache would reject) — and is
-    /// bulk-accounted on wakeup via [`Sm::fast_forward`], down to the stall
-    /// statistics and the L1 port's round-robin state.
+    /// observe it. An SM sleeps until one of three wakeups:
+    ///
+    /// - its own self-reported [`Sm::next_event`] cycle arrives;
+    /// - a delivered completion is observable ([`Sm::on_mem_done`] returns
+    ///   `true`): it made a warp `Ready` (its last outstanding line landed)
+    ///   or an RT entry operands-ready — under the treelet core every
+    ///   response counts, because each one frees a fetch slot;
+    /// - its L1 (or private RT cache) receives a fill while an access waits
+    ///   on its L1 port ([`Sm::waits_on_l1_port`]): the fill frees an MSHR,
+    ///   which can flip what the port accepts.
+    ///
+    /// Any other completion (the third of four lines of a load, a lane of an
+    /// RT entry that still waits on other lanes) is delivered without a
+    /// tick: the SM first bulk-accounts its sleep window up to the cycle
+    /// before, so the delivery lands on the state the stepped machine would
+    /// hold, and keeps sleeping. Every cycle an SM sleeps through is
+    /// provably a no-op for it in the stepped machine — its warps are
+    /// blocked on timers, busy issue slots, or memory (including L1 queues
+    /// whose head the cache would reject) — and is bulk-accounted via
+    /// [`Sm::fast_forward`], down to the stall statistics and the L1 port's
+    /// round-robin state. Sleep windows may be accounted in pieces: the
+    /// accounting is additive.
     ///
     /// # Errors
     ///
@@ -110,14 +123,14 @@ impl Gpu {
         let num_sms = self.cfg.num_sms;
         let mut done = Vec::new();
         let mut sched = SchedStats::default();
-        // Per-SM sleep state (event mode): the cycle each SM last ticked
-        // (`u64::MAX` = never), its self-reported wakeup cycle, whether it
-        // must tick at the cycle being visited, and whether the memory
-        // system (rather than its own timer) supplied that wakeup.
-        let mut last_ticked: Vec<u64> = vec![u64::MAX; num_sms];
+        // Per-SM sleep state (event mode): the first cycle not yet ticked
+        // or fast-forwarded, its self-reported wakeup cycle, whether it
+        // must tick at the cycle being visited, and whether a memory event
+        // (an observable fill or any completion) reaches it there.
+        let mut accounted_to: Vec<u64> = vec![0; num_sms];
         let mut wake: Vec<Option<u64>> = vec![Some(0); num_sms];
         let mut active: Vec<bool> = vec![true; num_sms];
-        let mut woken_by_mem: Vec<bool> = vec![false; num_sms];
+        let mut touched: Vec<bool> = vec![false; num_sms];
         let mut now = 0u64;
         let mut iterations = 0u64;
         let cycles = loop {
@@ -134,47 +147,35 @@ impl Gpu {
             iterations += 1;
             done.clear();
             mem.tick(now, &mut done);
+            // Every SM that ticks at `now` or receives a completion first
+            // replays its sleep window in bulk, so the per-cycle order of
+            // the stepped oracle (memory, completion delivery, SM tick) is
+            // preserved for cycle `now` itself.
             if event_mode {
-                // An SM must tick at `now` iff it can observe the cycle:
-                // its own wakeup arrived, a completion is delivered to
-                // it, or its L1 received a fill (freeing an MSHR, which
-                // can flip what its port would accept).
                 for i in 0..num_sms {
-                    woken_by_mem[i] = false;
                     active[i] = wake[i].is_some_and(|t| t <= now);
+                    touched[i] = false;
                 }
-                for &(sm, _) in &done {
-                    active[sm] = true;
-                    woken_by_mem[sm] = true;
+                for &i in mem.l1_touched() {
+                    if sms[i].waits_on_l1_port() {
+                        active[i] = true;
+                        touched[i] = true;
+                    }
                 }
-                for &sm in mem.l1_touched() {
-                    active[sm] = true;
-                    woken_by_mem[sm] = true;
+                for &(i, _) in &done {
+                    touched[i] = true;
                 }
-            }
-            // Waking SMs first replay their sleep window in bulk, so the
-            // per-cycle order of the stepped oracle (memory, completion
-            // delivery, SM tick) is preserved for cycle `now` itself.
-            for (i, sm) in sms.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                let slept = match last_ticked[i] {
-                    u64::MAX => now,
-                    t => now - t - 1,
-                };
-                if slept > 0 {
-                    sm.fast_forward(slept, &mut mem);
-                    sched.cycles_skipped += slept;
-                    if woken_by_mem[i] {
-                        sched.skipped_on_memory += slept;
-                    } else {
-                        sched.skipped_on_timers += slept;
+                for (i, sm) in sms.iter_mut().enumerate() {
+                    if active[i] || touched[i] {
+                        let window = &mut accounted_to[i];
+                        catch_up(sm, window, now, touched[i], &mut mem, &mut sched);
                     }
                 }
             }
-            for &(sm, waiter) in &done {
-                sms[sm].on_mem_done(waiter)?;
+            for &(i, waiter) in &done {
+                if sms[i].on_mem_done(waiter)? {
+                    active[i] = true;
+                }
             }
             for (i, sm) in sms.iter_mut().enumerate() {
                 if !active[i] {
@@ -182,7 +183,7 @@ impl Gpu {
                 }
                 sm.tick(now, &mut mem)?;
                 sched.ticks_executed += 1;
-                last_ticked[i] = now;
+                accounted_to[i] = now + 1;
                 if event_mode {
                     wake[i] = sm.next_event(now, &mem);
                 }
@@ -223,16 +224,8 @@ impl Gpu {
         // SMs that went quiet before the machine drained still owe the
         // bulk accounting for their final sleep window (stepped mode ticks
         // every SM on every cycle, so this is a no-op there).
-        for (i, sm) in sms.iter_mut().enumerate() {
-            let slept = match last_ticked[i] {
-                u64::MAX => cycles,
-                t => cycles - t - 1,
-            };
-            if slept > 0 {
-                sm.fast_forward(slept, &mut mem);
-                sched.cycles_skipped += slept;
-                sched.skipped_on_timers += slept;
-            }
+        for (sm, window) in sms.iter_mut().zip(&mut accounted_to) {
+            catch_up(sm, window, cycles, false, &mut mem, &mut sched);
         }
 
         let sm_stats: Vec<_> = sms.iter().map(|s| s.stats().clone()).collect();
@@ -279,6 +272,30 @@ impl Gpu {
             cause,
         }
     }
+}
+
+/// Replays an SM's sleep window `[*accounted_to, now)` in bulk via
+/// [`Sm::fast_forward`], attributing it to memory or to the SM's own timers,
+/// and marks the SM accounted up to `now`.
+fn catch_up(
+    sm: &mut Sm,
+    accounted_to: &mut u64,
+    now: u64,
+    on_memory: bool,
+    mem: &mut MemorySystem,
+    sched: &mut SchedStats,
+) {
+    let slept = now - *accounted_to;
+    if slept > 0 {
+        sm.fast_forward(slept, mem);
+        sched.cycles_skipped += slept;
+        if on_memory {
+            sched.skipped_on_memory += slept;
+        } else {
+            sched.skipped_on_timers += slept;
+        }
+    }
+    *accounted_to = now;
 }
 
 #[cfg(test)]
@@ -491,6 +508,44 @@ mod tests {
             event.sched.cycles_skipped > 0,
             "a memory-latency-bound kernel must fast-forward"
         );
+    }
+
+    #[test]
+    fn event_mode_wakes_only_on_the_last_line_of_a_load() {
+        use crate::config::SimMode;
+        // One warp whose load spans four lines (32 lanes × 16 B = 512 B),
+        // so the lines complete on separate cycles. Only the last one makes
+        // the warp Ready; the fills and the first three completions reach
+        // an SM with nothing waiting on its L1 port and nothing to issue.
+        let mut k = KernelTrace::new("four-lines");
+        for lane in 0..32u64 {
+            let mut t = ThreadTrace::new();
+            t.push(ThreadOp::Load {
+                addr: 0x8000 + lane * 16,
+                bytes: 4,
+            });
+            t.push(ThreadOp::Alu { count: 1 });
+            k.push_thread(t);
+        }
+        let stepped = Gpu::new(GpuConfig::tiny().with_sim_mode(SimMode::Stepped))
+            .run(&k)
+            .unwrap();
+        let event = Gpu::new(GpuConfig::tiny().with_sim_mode(SimMode::Event))
+            .run(&k)
+            .unwrap();
+        assert_eq!(stepped.normalized(), event.normalized());
+        assert_eq!(event.l1_accesses(), 4);
+        assert_eq!(event.cycles, 323);
+        // Ticks: the load's issue (cycle 0), the four L1 port cycles that
+        // present its lines (1-4), then the last line's completion, whose
+        // tick issues the final ALU op and retires the warp. Waking on every
+        // fill and every completion would take 13.
+        assert_eq!(event.sched.ticks_executed, 6);
+        assert_eq!(
+            event.sched.ticks_executed + event.sched.cycles_skipped,
+            event.cycles
+        );
+        assert_eq!(stepped.sched.ticks_executed, stepped.cycles);
     }
 
     /// Runs `k` under both modes with the given guard and returns the two

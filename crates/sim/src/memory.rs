@@ -11,9 +11,24 @@
 //! and with it every statistic — depends only on the simulated schedule.
 //! That is why every [`crate::config::SimMode`] produces bit-identical
 //! reports.
+//!
+//! Each L2 bank looks up one request per cycle. A request that reaches a
+//! bank leaves the heap for that bank's arrival queue and waits there —
+//! through port conflicts and `Stall`s (L2 MSHRs full) alike — until the
+//! bank serves it, so a burst of `k` requests to one bank costs `O(k log
+//! k)` queue work instead of `k` heap re-pushes per cycle. Every cycle,
+//! after that cycle's arrivals have joined their queues, each bank serves
+//! its smallest waiting `(sm tag, line)`; a request that arrived from a
+//! zero-latency hop stamped with an earlier cycle goes ahead of the queue,
+//! as it would sort first in the heap. The winners are then looked up in
+//! `(stamp, sm tag, line)` order, so DRAM sees the same enqueue order as
+//! if every waiting request were re-scheduled each cycle, and all before
+//! the cycle's L2 fills, L1 fills and completions. A `Stall`ed request
+//! stays queued and counts one more stall each cycle it is served.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem;
 
 use crate::cache::{Cache, CacheStats, Lookup};
 use crate::config::{GpuConfig, RtCachePolicy};
@@ -41,6 +56,8 @@ pub enum AccessOutcome {
 /// Marks an L2 waiter / L1-fill destined for the private RT cache.
 const RT_FILL: u32 = 1 << 30;
 
+/// A scheduled hop. Within one cycle events pop in variant order, so every
+/// arrival reaches its bank queue before the cycle's fills and completions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// A request arrives at its L2 bank.
@@ -112,7 +129,14 @@ pub struct MemorySystem {
     rt_private: bool,
     l1s: Vec<SmL1>,
     l2_banks: Vec<Cache>,
+    /// The cycle after the one each bank last served a request in.
     l2_bank_busy: Vec<u64>,
+    /// Requests waiting at each bank, smallest `(sm tag, line)` first.
+    l2_queues: Vec<BinaryHeap<Reverse<(u32, u64)>>>,
+    /// Banks whose queue is non-empty (unordered, no duplicates).
+    l2_waiting_banks: Vec<usize>,
+    /// Scratch for one cycle's bank winners: `(stamp, sm tag, line)`.
+    l2_winners: Vec<(u64, u32, u64)>,
     dram: Vec<DramChannel>,
     dram_banks: u64,
     lines_per_row: u64,
@@ -155,6 +179,9 @@ impl MemorySystem {
                 .map(|_| Cache::new(l2_sets_per_bank, cfg.l2_ways, 64))
                 .collect(),
             l2_bank_busy: vec![0; cfg.l2_banks],
+            l2_queues: vec![BinaryHeap::new(); cfg.l2_banks],
+            l2_waiting_banks: Vec::new(),
+            l2_winners: Vec::new(),
             dram: (0..cfg.dram_channels)
                 .map(|_| {
                     DramChannel::new(
@@ -299,7 +326,56 @@ impl MemorySystem {
             }
         }
 
-        // Drain events due now.
+        // Arrivals due now join their bank's queue. One stamped before
+        // `now` (a zero-latency hop pushed during the previous cycle's SM
+        // ticks) sorts ahead of everything waiting and claims its bank
+        // outright; anything else stamped before `now` is handled in heap
+        // order, exactly where the heap would have popped it.
+        let mut winners = mem::take(&mut self.l2_winners);
+        winners.clear();
+        while let Some(&Reverse((at, event))) = self.events.peek() {
+            let arriving = matches!(event, Event::L2Arrive { .. });
+            if at > now || (at == now && !arriving) {
+                break;
+            }
+            self.events.pop();
+            match event {
+                Event::L2Arrive { sm, line } => {
+                    let bank = self.bank_of(line);
+                    if at < now && self.l2_bank_busy[bank] <= now {
+                        self.l2_bank_busy[bank] = now + 1;
+                        winners.push((at, sm, line));
+                    } else {
+                        self.enqueue_l2(bank, sm, line);
+                    }
+                }
+                other => self.handle(now, other, done),
+            }
+        }
+
+        // Each free bank serves its smallest waiting request.
+        let mut i = 0;
+        while i < self.l2_waiting_banks.len() {
+            let bank = self.l2_waiting_banks[i];
+            if self.l2_bank_busy[bank] <= now {
+                if let Some(Reverse((sm, line))) = self.l2_queues[bank].pop() {
+                    self.l2_bank_busy[bank] = now + 1;
+                    winners.push((now, sm, line));
+                }
+            }
+            if self.l2_queues[bank].is_empty() {
+                self.l2_waiting_banks.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        winners.sort_unstable();
+        for &(_, sm, line) in &winners {
+            self.serve_l2(now, sm, line);
+        }
+        self.l2_winners = winners;
+
+        // Then everything else due now, in heap order.
         while let Some(&Reverse((at, _))) = self.events.peek() {
             if at > now {
                 break;
@@ -307,95 +383,115 @@ impl MemorySystem {
             let Some(Reverse((_, event))) = self.events.pop() else {
                 break; // unreachable: we just peeked a due event
             };
-            match event {
-                Event::L2Arrive { sm, line } => {
-                    let bank = self.bank_of(line);
-                    if self.l2_bank_busy[bank] > now {
-                        // Port conflict: retry next cycle.
-                        self.push(now + 1, Event::L2Arrive { sm, line });
-                        continue;
-                    }
-                    self.l2_bank_busy[bank] = now + 1;
-                    match self.l2_banks[bank].access(line, sm as u64) {
-                        Lookup::Hit => {
-                            self.push(now + self.half_l2_latency, Event::L1Fill { sm, line });
-                        }
-                        Lookup::MshrHit => {}
-                        Lookup::Miss => {
-                            // Address decomposition: channel (low bits), then
-                            // column within the row, then bank, then row —
-                            // so streams of consecutive lines stay in one
-                            // open row (standard row:bank:col interleaving).
-                            let ch = self.channel_of(line);
-                            let channel_line = line / self.dram.len() as u64;
-                            let banks = self.dram_banks;
-                            let bank_idx = ((channel_line / self.lines_per_row) % banks) as usize;
-                            let row = channel_line / (self.lines_per_row * banks);
-                            self.dram[ch].enqueue(line, bank_idx, row, now);
-                        }
-                        Lookup::Stall => {
-                            self.push(now + 1, Event::L2Arrive { sm, line });
-                        }
-                    }
+            self.handle(now, event, done);
+        }
+    }
+
+    /// Queues a request at its L2 bank.
+    fn enqueue_l2(&mut self, bank: usize, sm: u32, line: u64) {
+        let queue = &mut self.l2_queues[bank];
+        if queue.is_empty() {
+            self.l2_waiting_banks.push(bank);
+        }
+        queue.push(Reverse((sm, line)));
+    }
+
+    /// One L2 lookup by the bank that owns `line`, which has already been
+    /// claimed for this cycle.
+    fn serve_l2(&mut self, now: u64, sm: u32, line: u64) {
+        let bank = self.bank_of(line);
+        match self.l2_banks[bank].access(line, sm as u64) {
+            Lookup::Hit => {
+                self.push(now + self.half_l2_latency, Event::L1Fill { sm, line });
+            }
+            Lookup::MshrHit => {}
+            Lookup::Miss => {
+                // Address decomposition: channel (low bits), then column
+                // within the row, then bank, then row — so streams of
+                // consecutive lines stay in one open row (standard
+                // row:bank:col interleaving).
+                let ch = self.channel_of(line);
+                let channel_line = line / self.dram.len() as u64;
+                let banks = self.dram_banks;
+                let bank_idx = ((channel_line / self.lines_per_row) % banks) as usize;
+                let row = channel_line / (self.lines_per_row * banks);
+                self.dram[ch].enqueue(line, bank_idx, row, now);
+            }
+            // L2 MSHRs full: wait for a fill, and try again next cycle.
+            Lookup::Stall => self.enqueue_l2(bank, sm, line),
+        }
+    }
+
+    /// Handles one popped event other than a bank lookup.
+    fn handle(&mut self, now: u64, event: Event, done: &mut Vec<(usize, u64)>) {
+        match event {
+            // Arrivals sort first within a cycle and only `access` (during
+            // SM ticks) pushes them, so `tick` has queued every due one
+            // before it handles anything else.
+            Event::L2Arrive { .. } => unreachable!("L2 arrival after the cycle's lookups"),
+            Event::L2Fill { line } => {
+                let bank = self.bank_of(line);
+                for sm in self.l2_banks[bank].fill(line) {
+                    self.push(
+                        now + self.half_l2_latency,
+                        Event::L1Fill {
+                            sm: sm as u32,
+                            line,
+                        },
+                    );
                 }
-                Event::L2Fill { line } => {
-                    let bank = self.bank_of(line);
-                    for sm in self.l2_banks[bank].fill(line) {
-                        self.push(
-                            now + self.half_l2_latency,
-                            Event::L1Fill {
-                                sm: sm as u32,
-                                line,
-                            },
-                        );
-                    }
+            }
+            Event::L1Fill { sm, line } => {
+                let is_rt = sm & RT_FILL != 0;
+                let sm_idx = (sm & !RT_FILL) as usize;
+                self.l1_touched.push(sm_idx);
+                let slot = &mut self.l1s[sm_idx];
+                let waiters = match (is_rt, &mut slot.rt_cache) {
+                    (true, Some(cache)) => cache.fill(line),
+                    // An RT-tagged fill can only originate from an
+                    // RT-cache access, which requires the cache to exist.
+                    (true, None) => unreachable!("RT fill without an RT cache"),
+                    (false, _) => slot.l1.fill(line),
+                };
+                for waiter in waiters {
+                    self.push(
+                        now + self.l1_latency,
+                        Event::Done {
+                            sm: sm_idx as u32,
+                            waiter,
+                        },
+                    );
                 }
-                Event::L1Fill { sm, line } => {
-                    let is_rt = sm & RT_FILL != 0;
-                    let sm_idx = (sm & !RT_FILL) as usize;
-                    self.l1_touched.push(sm_idx);
-                    let slot = &mut self.l1s[sm_idx];
-                    let waiters = match (is_rt, &mut slot.rt_cache) {
-                        (true, Some(cache)) => cache.fill(line),
-                        // An RT-tagged fill can only originate from an
-                        // RT-cache access, which requires the cache to exist.
-                        (true, None) => unreachable!("RT fill without an RT cache"),
-                        (false, _) => slot.l1.fill(line),
-                    };
-                    for waiter in waiters {
-                        self.push(
-                            now + self.l1_latency,
-                            Event::Done {
-                                sm: sm_idx as u32,
-                                waiter,
-                            },
-                        );
-                    }
-                }
-                Event::Done { sm, waiter } => {
-                    done.push((sm as usize, waiter));
-                }
+            }
+            Event::Done { sm, waiter } => {
+                done.push((sm as usize, waiter));
             }
         }
     }
 
     /// Returns `true` when no request is in flight anywhere.
     pub fn quiescent(&self) -> bool {
-        self.events.is_empty() && self.dram.iter().all(|d| d.queue_len() == 0)
+        self.events.is_empty()
+            && self.l2_waiting_banks.is_empty()
+            && self.dram.iter().all(|d| d.queue_len() == 0)
     }
 
     /// The earliest future cycle at which [`MemorySystem::tick`] can do any
     /// work, or `None` when the hierarchy is quiescent.
     ///
-    /// Two sources of future activity exist, both expressed as absolute
-    /// cycles: the event heap (interconnect hops, fills, completions, L2
-    /// retries) and each DRAM channel's next possible FR-FCFS service
+    /// Three sources of future activity exist, all expressed as absolute
+    /// cycles: the event heap (interconnect hops, fills, completions), the
+    /// L2 bank queues (a waiting request is looked up next cycle) and each
+    /// DRAM channel's next possible FR-FCFS service
     /// ([`DramChannel::next_service_cycle`]). Ticking strictly between `now`
     /// and the returned cycle is provably a no-op, which is what licenses
     /// the event-driven loop to skip those cycles. Call only after `tick
     /// (now)` has drained everything due at `now`; the result is clamped to
     /// `now + 1` so the caller always advances.
     pub fn next_event(&self, now: u64) -> Option<u64> {
+        if !self.l2_waiting_banks.is_empty() {
+            return Some(now + 1);
+        }
         let mut next = self.events.peek().map(|Reverse((at, _))| *at);
         for d in &self.dram {
             next = match (next, d.next_service_cycle()) {
@@ -636,6 +732,84 @@ mod tests {
         assert_eq!(mem.next_event(t0), Some(t0 + cfg.l1_latency));
         mem.tick(t0 + cfg.l1_latency, &mut done);
         assert_eq!(done, vec![(0, 2)]);
+    }
+
+    #[test]
+    fn l2_bank_conflicts_queue_in_sm_line_order() {
+        // Six misses from different SMs, presented out of SM order, all
+        // reach L2 bank 0 on the same cycle. The bank looks up one per
+        // cycle, smallest (sm, line) first, and the losers wait in its
+        // queue rather than in the event heap. The completion cycles are
+        // the ones the hierarchy produced when every loser was re-pushed
+        // into the heap each cycle, on a machine with a multi-cycle L2 hop
+        // and on one whose hop is zero cycles (`l2_latency` 1).
+        let order = [5usize, 2, 4, 0, 3, 1];
+        let cases: [(u64, [(u64, usize); 6]); 2] = [
+            (
+                GpuConfig::small().l2_latency,
+                [(261, 0), (265, 3), (281, 1), (285, 4), (301, 2), (305, 5)],
+            ),
+            (
+                1,
+                [(81, 0), (85, 3), (101, 1), (105, 4), (121, 2), (125, 5)],
+            ),
+        ];
+        // Requests not looked up yet: in the heap or in bank 0's queue.
+        fn pending(mem: &MemorySystem) -> (Vec<(u32, u64)>, usize) {
+            let mut waiting: Vec<(u32, u64)> =
+                mem.l2_queues[0].iter().map(|&Reverse(r)| r).collect();
+            let mut in_heap = 0;
+            for Reverse((_, event)) in mem.events.iter() {
+                if let Event::L2Arrive { sm, line } = *event {
+                    waiting.push((sm, line));
+                    in_heap += 1;
+                }
+            }
+            (waiting, in_heap)
+        }
+        for (l2_latency, expect) in cases {
+            let cfg = GpuConfig {
+                l2_latency,
+                ..GpuConfig::small()
+            };
+            let mut mem = MemorySystem::new(&cfg);
+            let line_of = |sm: u64| cfg.l2_banks as u64 * (10 - sm);
+            for &sm in &order {
+                assert_eq!(
+                    mem.access(sm, line_of(sm as u64), sm as u64, Requester::Lsu, 0),
+                    AccessOutcome::Accepted
+                );
+            }
+            let mut done = Vec::new();
+            let mut completions = Vec::new();
+            let mut served = Vec::new();
+            let mut now = 0;
+            while !mem.quiescent() {
+                let (before, _) = pending(&mem);
+                done.clear();
+                mem.tick(now, &mut done);
+                completions.extend(done.iter().map(|&(sm, _)| (now, sm)));
+                let (after, in_heap) = pending(&mem);
+                let looked_up: Vec<_> = before.iter().filter(|r| !after.contains(r)).collect();
+                assert!(looked_up.len() <= 1, "two lookups at {now}: {looked_up:?}");
+                if let Some(&&r) = looked_up.first() {
+                    assert!(after.iter().all(|&q| q > r), "{r:?} was not the smallest");
+                    served.push(r);
+                }
+                // No retry storm: a waiting request sits in its bank's
+                // queue, not in the heap, and the heap holds at most one
+                // entry per in-flight request.
+                if !mem.l2_queues[0].is_empty() {
+                    assert_eq!(in_heap, 0, "a waiting request is in the heap at {now}");
+                }
+                assert!(mem.events.len() <= order.len(), "heap grew at {now}");
+                now += 1;
+                assert!(now < 100_000, "hierarchy never drained");
+            }
+            let by_sm: Vec<(u32, u64)> = (0..6).map(|sm| (sm, line_of(sm as u64))).collect();
+            assert_eq!(served, by_sm, "l2_latency {l2_latency}");
+            assert_eq!(completions, expect, "l2_latency {l2_latency}");
+        }
     }
 
     #[test]

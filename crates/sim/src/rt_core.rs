@@ -71,7 +71,8 @@ impl RtCore {
         delegate!(self, u => u.grant(requesting))
     }
 
-    /// Dispatches a warp instruction into the unit.
+    /// Dispatches a warp instruction into the unit: `ops` holds one op per
+    /// set bit of `active_mask`, in lane order.
     ///
     /// # Errors
     ///
@@ -82,10 +83,10 @@ impl RtCore {
         warp: usize,
         sub_core: usize,
         active_mask: u32,
-        lanes: &[Option<ThreadOp>],
+        ops: &[ThreadOp],
         line_bytes: u64,
     ) -> Result<EntryId, SimError> {
-        delegate!(self, u => u.dispatch(warp, sub_core, active_mask, lanes, line_bytes))
+        delegate!(self, u => u.dispatch(warp, sub_core, active_mask, ops, line_bytes))
     }
 
     /// The next node fetch awaiting the L1 port, if the organization can
@@ -114,8 +115,9 @@ impl RtCore {
         delegate!(self, u => u.push_back_front(req))
     }
 
-    /// Delivers a memory response for `(entry, req)`.
-    pub fn on_mem_response(&mut self, entry: EntryId, req: usize) {
+    /// Delivers a memory response for `(entry, req)`; returns whether the
+    /// next tick can observe it (see the organizations' `on_mem_response`).
+    pub fn on_mem_response(&mut self, entry: EntryId, req: usize) -> bool {
         delegate!(self, u => u.on_mem_response(entry, req))
     }
 

@@ -145,6 +145,19 @@ pub(crate) fn lane_plan(
     }
 }
 
+/// The lane indices set in `mask`, ascending — the lanes that a warp
+/// instruction's op slice covers, in slice order.
+pub(crate) fn lanes_of(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
 /// Whether `op` is legal on a unit with HSU configuration `cfg` (the
 /// baseline RT unit rejects the HSU extensions). Shared by both RT-unit
 /// organizations.
@@ -165,6 +178,9 @@ pub struct RtUnit {
     entry_owner: Vec<Option<usize>>,
     lane_state: Vec<[LaneState; WARP_WIDTH]>,
     arbiter: SubCoreArbiter,
+    /// The arbiter's accumulate-lock mask: all clear, because holding the
+    /// warp-buffer entry through every beat already enforces the lock.
+    no_accumulate: Vec<bool>,
     pipeline: DatapathPipeline,
     fifo: VecDeque<FifoRequest>,
     /// Per-entry coalesced fetch table: `(line, lane mask)`.
@@ -186,6 +202,7 @@ impl RtUnit {
             entry_owner: vec![None; entries],
             lane_state: vec![[LaneState::default(); WARP_WIDTH]; entries],
             arbiter: SubCoreArbiter::new(sub_cores),
+            no_accumulate: vec![false; sub_cores],
             pipeline: DatapathPipeline::new(),
             fifo: VecDeque::new(),
             entry_requests: vec![Vec::new(); entries],
@@ -217,39 +234,31 @@ impl RtUnit {
             }
             return None;
         }
-        let accumulate = vec![false; requesting.len()];
-        self.arbiter.grant(requesting, &accumulate)
+        self.arbiter.grant(requesting, &self.no_accumulate)
     }
 
     /// Dispatches a warp instruction into the warp buffer, enqueueing each
-    /// active lane's line fetches. `line_bytes` is the cache-line size.
+    /// active lane's line fetches. `ops` holds one op per set bit of
+    /// `active_mask`, in lane order; `line_bytes` is the cache-line size.
     ///
     /// # Errors
     ///
     /// [`SimError::IllegalDispatch`] if the buffer is full (call
-    /// [`RtUnit::grant`] first), an active lane carries no op, or the
-    /// instruction holds non-HSU ops. Failed dispatches leave the unit's
-    /// state untouched.
+    /// [`RtUnit::grant`] first) or the instruction holds non-HSU ops.
+    /// Failed dispatches leave the unit's state untouched.
     pub fn dispatch(
         &mut self,
         warp: usize,
         sub_core: usize,
         active_mask: u32,
-        lanes: &[Option<ThreadOp>],
+        ops: &[ThreadOp],
         line_bytes: u64,
     ) -> Result<EntryId, SimError> {
+        debug_assert_eq!(ops.len(), active_mask.count_ones() as usize);
         // Plan every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
-        let mut plans: Vec<(usize, OperatingMode, u32, u64, u64)> = Vec::new();
-        for (lane, op) in lanes.iter().enumerate() {
-            if active_mask & (1 << lane) == 0 {
-                continue;
-            }
-            let Some(op) = op.as_ref() else {
-                return Err(SimError::IllegalDispatch {
-                    detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
-                });
-            };
+        let mut plans: Vec<(usize, OperatingMode, u32, u64, u64)> = Vec::with_capacity(ops.len());
+        for (lane, op) in lanes_of(active_mask).zip(ops) {
             let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
             plans.push((lane, mode, beats, addr, bytes));
         }
@@ -331,12 +340,13 @@ impl RtUnit {
     /// A memory response for `(entry, req)` arrived; decrements every lane
     /// that was coalesced onto the line and marks lanes valid when their
     /// last line lands.
-    pub fn on_mem_response(&mut self, entry: EntryId, req: usize) {
+    ///
+    /// Returns `true` when the response made the entry operands-ready — the
+    /// only change the next [`RtUnit::tick`] can act on. A partially valid
+    /// entry is invisible to the datapath, which only drains ready entries.
+    pub fn on_mem_response(&mut self, entry: EntryId, req: usize) -> bool {
         let (_, mask) = self.entry_requests[entry][req];
-        for lane in 0..WARP_WIDTH {
-            if mask & (1 << lane) == 0 {
-                continue;
-            }
+        for lane in lanes_of(mask) {
             let state = &mut self.lane_state[entry][lane];
             debug_assert!(state.pending_lines > 0, "response for satisfied lane");
             state.pending_lines -= 1;
@@ -344,6 +354,7 @@ impl RtUnit {
                 self.warp_buffer.mark_valid(entry, lane);
             }
         }
+        self.warp_buffer.entry(entry).operands_ready()
     }
 
     /// Advances the datapath one cycle: issues at most one lane-beat, drains
@@ -383,7 +394,7 @@ impl RtUnit {
         }
 
         // Completion stage.
-        for done in self.pipeline.tick() {
+        if let Some(done) = self.pipeline.tick() {
             let entry = (done.tag >> 8) as usize;
             let lane = (done.tag & 0xff) as usize;
             let state = &mut self.lane_state[entry][lane];
@@ -489,10 +500,9 @@ mod tests {
         }
     }
 
-    fn lanes_with(op: ThreadOp, mask: u32) -> Vec<Option<ThreadOp>> {
-        (0..WARP_WIDTH)
-            .map(|l| (mask & (1 << l) != 0).then_some(op))
-            .collect()
+    /// The op slice of an instruction running `op` on every lane of `mask`.
+    fn ops_with(op: ThreadOp, mask: u32) -> Vec<ThreadOp> {
+        vec![op; mask.count_ones() as usize]
     }
 
     /// Drives the unit until `warp` completes, answering all memory requests
@@ -531,7 +541,7 @@ mod tests {
             bytes: 128,
             triangle: false,
         };
-        unit.dispatch(7, 0, 1, &lanes_with(op, 1), 128).unwrap();
+        unit.dispatch(7, 0, 1, &ops_with(op, 1), 128).unwrap();
         let (cycles, done) = run_to_completion(&mut unit, 20, 1000);
         assert_eq!(done, vec![7]);
         // 20 (mem) + 9 (pipe) + small bookkeeping.
@@ -545,7 +555,7 @@ mod tests {
     #[test]
     fn multibeat_distance_counts_isa_instructions() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        unit.dispatch(3, 1, 1, &lanes_with(euclid_op(96), 1), 128)
+        unit.dispatch(3, 1, 1, &ops_with(euclid_op(96), 1), 128)
             .unwrap();
         let (_, done) = run_to_completion(&mut unit, 10, 1000);
         assert_eq!(done, vec![3]);
@@ -558,7 +568,7 @@ mod tests {
     fn sparse_mask_issues_only_active_lanes() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
         let mask = (1 << 3) | (1 << 30);
-        unit.dispatch(1, 0, mask, &lanes_with(euclid_op(16), mask), 128)
+        unit.dispatch(1, 0, mask, &ops_with(euclid_op(16), mask), 128)
             .unwrap();
         let (_, _) = run_to_completion(&mut unit, 5, 1000);
         let s = unit.stats();
@@ -570,7 +580,7 @@ mod tests {
         for (width, beats) in [(4usize, 24u64), (8, 12), (16, 6), (32, 3)] {
             let cfg = HsuConfig::default().with_euclid_width(width);
             let mut unit = RtUnit::new(cfg, 4);
-            unit.dispatch(0, 0, 1, &lanes_with(euclid_op(96), 1), 128)
+            unit.dispatch(0, 0, 1, &ops_with(euclid_op(96), 1), 128)
                 .unwrap();
             run_to_completion(&mut unit, 5, 2000);
             assert_eq!(unit.stats().isa_instructions, beats, "width {width}");
@@ -584,7 +594,7 @@ mod tests {
             node_addr: 0x2000,
             separators: 255,
         };
-        unit.dispatch(0, 0, 1, &lanes_with(op, 1), 128).unwrap();
+        unit.dispatch(0, 0, 1, &ops_with(op, 1), 128).unwrap();
         run_to_completion(&mut unit, 5, 1000);
         let s = unit.stats();
         assert_eq!(s.isa_instructions, 8, "ceil(255/36) = 8");
@@ -597,9 +607,9 @@ mod tests {
         let mut unit = RtUnit::new(cfg, 4);
         let op = euclid_op(16);
         assert!(unit.grant(&[true, false, false, false]).is_some());
-        unit.dispatch(0, 0, 1, &lanes_with(op, 1), 128).unwrap();
+        unit.dispatch(0, 0, 1, &ops_with(op, 1), 128).unwrap();
         assert!(unit.grant(&[false, true, false, false]).is_some());
-        unit.dispatch(1, 1, 1, &lanes_with(op, 1), 128).unwrap();
+        unit.dispatch(1, 1, 1, &ops_with(op, 1), 128).unwrap();
         // Buffer full: grant refuses and counts a stall.
         assert!(unit.grant(&[false, false, true, false]).is_none());
         assert_eq!(unit.stats().dispatch_stalls, 1);
@@ -623,9 +633,9 @@ mod tests {
     #[test]
     fn two_entries_overlap_memory_but_serialize_datapath() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(64), 1), 128)
+        unit.dispatch(0, 0, 1, &ops_with(euclid_op(64), 1), 128)
             .unwrap();
-        unit.dispatch(1, 1, 1, &lanes_with(euclid_op(64), 1), 128)
+        unit.dispatch(1, 1, 1, &ops_with(euclid_op(64), 1), 128)
             .unwrap();
         let (cycles, mut done) = run_to_completion(&mut unit, 50, 5000);
         done.sort_unstable();
@@ -642,7 +652,7 @@ mod tests {
         // lanes wait on memory, busy again from response to writeback.
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
         assert!(!unit.busy_next_cycle(), "fresh unit is idle");
-        unit.dispatch(5, 0, 1, &lanes_with(euclid_op(16), 1), 128)
+        unit.dispatch(5, 0, 1, &ops_with(euclid_op(16), 1), 128)
             .unwrap();
         assert!(unit.busy_next_cycle(), "fetch in FIFO wants the L1 port");
         let req = unit.pop_fifo().unwrap();
@@ -679,7 +689,7 @@ mod tests {
         // including occupancy integration for the parked entry.
         let build = || {
             let mut u = RtUnit::new(HsuConfig::default(), 4);
-            u.dispatch(0, 0, 1, &lanes_with(euclid_op(32), 1), 128)
+            u.dispatch(0, 0, 1, &ops_with(euclid_op(32), 1), 128)
                 .unwrap();
             while u.pop_fifo().is_some() {}
             // A skip never starts un-ticked: dispatch leaves the FIFO
@@ -703,10 +713,10 @@ mod tests {
     fn dispatch_into_full_buffer_is_a_typed_error() {
         let cfg = HsuConfig::default().with_warp_buffer(1);
         let mut unit = RtUnit::new(cfg, 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(16), 1), 128)
+        unit.dispatch(0, 0, 1, &ops_with(euclid_op(16), 1), 128)
             .unwrap();
         let err = unit
-            .dispatch(1, 1, 1, &lanes_with(euclid_op(16), 1), 128)
+            .dispatch(1, 1, 1, &ops_with(euclid_op(16), 1), 128)
             .expect_err("full buffer must reject");
         assert!(matches!(err, SimError::IllegalDispatch { .. }));
         // The failed dispatch left no trace: one entry, one instruction.
@@ -718,7 +728,7 @@ mod tests {
     fn dispatch_of_non_hsu_op_is_a_typed_error_with_clean_state() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
         let err = unit
-            .dispatch(0, 0, 1, &lanes_with(ThreadOp::Alu { count: 4 }, 1), 128)
+            .dispatch(0, 0, 1, &ops_with(ThreadOp::Alu { count: 4 }, 1), 128)
             .expect_err("ALU op must not reach the RT unit");
         assert!(matches!(err, SimError::IllegalDispatch { .. }));
         assert!(err.to_string().contains("non-HSU op"));
@@ -729,9 +739,25 @@ mod tests {
     }
 
     #[test]
+    fn mem_response_is_observable_once_the_entry_is_operands_ready() {
+        // A 64-dim distance fetches two lines; the first response leaves
+        // the entry waiting (nothing the next tick can act on), the second
+        // makes it ready to drain.
+        let mut unit = RtUnit::new(HsuConfig::default(), 4);
+        unit.dispatch(0, 0, 1, &ops_with(euclid_op(64), 1), 128)
+            .unwrap();
+        let first = unit.pop_fifo().unwrap();
+        let second = unit.pop_fifo().unwrap();
+        assert!(!unit.on_mem_response(first.entry, first.req));
+        assert!(!unit.advances_on_tick());
+        assert!(unit.on_mem_response(second.entry, second.req));
+        assert!(unit.advances_on_tick());
+    }
+
+    #[test]
     fn fifo_order_is_preserved_on_rejection() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(64), 1), 128)
+        unit.dispatch(0, 0, 1, &ops_with(euclid_op(64), 1), 128)
             .unwrap();
         let first = unit.peek_fifo().unwrap();
         let popped = unit.pop_fifo().unwrap();

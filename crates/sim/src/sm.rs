@@ -7,7 +7,7 @@ use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
 use crate::memory::{AccessOutcome, MemorySystem, Requester};
 use crate::rt_core::RtCore;
-use crate::trace::{OpClass, ThreadOp, WarpInstruction, WarpTrace};
+use crate::trace::{OpClass, ThreadOp, WarpTrace};
 
 /// Waiter-token encoding: bit 63 selects RT-unit responses.
 const RT_FLAG: u64 = 1 << 63;
@@ -140,9 +140,11 @@ impl Sm {
     /// The earliest future cycle at which this SM's state can *observably*
     /// change without memory-side help, or `None` when it is entirely
     /// blocked on the memory system (or finished). The run loop additionally
-    /// wakes a sleeping SM when a completion is delivered to it or its L1
-    /// receives a fill ([`MemorySystem::l1_touched`]) — the only two
-    /// memory-side events that change what this SM can observe.
+    /// wakes a sleeping SM when a delivered completion is observable
+    /// ([`Sm::on_mem_done`]) or its L1 receives a fill
+    /// ([`MemorySystem::l1_touched`]) while an access waits on its port
+    /// ([`Sm::waits_on_l1_port`]) — the only memory-side events that change
+    /// what this SM can observe.
     ///
     /// The contract required by the event-driven run loop is soundness, not
     /// tightness: the returned cycle must never be *later* than the true
@@ -236,40 +238,51 @@ impl Sm {
         self.rt.fast_forward(cycles);
     }
 
+    /// Whether a queued L1 access (LSU or RT fetch) is waiting on the L1
+    /// port — the only state through which a fill to this SM's L1 (which
+    /// can flip [`MemorySystem::can_accept`]) is observable.
+    pub fn waits_on_l1_port(&self) -> bool {
+        !self.lsu_queue.is_empty() || self.rt.peek_fifo().is_some()
+    }
+
     /// Handles a memory completion token.
+    ///
+    /// Returns whether the delivery is observable by the next [`Sm::tick`]:
+    /// it made a warp `Ready` (its last outstanding line landed) or the RT
+    /// unit reports the response observable (see
+    /// [`RtCore::on_mem_response`]). An unobservable delivery only moves a
+    /// counter that nothing reads until a later, observable one.
     ///
     /// # Errors
     ///
     /// [`SimError::IllegalDispatch`] if the completion is routed to a warp
     /// slot that is not waiting on memory (a corrupted waiter token or a
     /// routing bug — either way the run cannot continue meaningfully).
-    pub fn on_mem_done(&mut self, waiter: u64) -> Result<(), SimError> {
+    pub fn on_mem_done(&mut self, waiter: u64) -> Result<bool, SimError> {
         if waiter & RT_FLAG != 0 {
             let entry = ((waiter >> 16) & 0xffff) as usize;
             let req = (waiter & 0xffff) as usize;
-            self.rt.on_mem_response(entry, req);
-        } else {
-            let slot = waiter as usize;
-            let warp = &mut self.warps[slot];
-            if let WarpStatus::WaitMem(outstanding) = warp.status {
-                let left = outstanding - 1;
-                if left == 0 {
-                    warp.status = WarpStatus::Ready;
-                    self.ready_hint[warp.sub_core] = true;
-                } else {
-                    warp.status = WarpStatus::WaitMem(left);
-                }
-            } else {
-                return Err(SimError::IllegalDispatch {
-                    detail: format!(
-                        "memory completion delivered to sm{} warp slot {slot}, \
-                         which is not waiting on memory ({:?})",
-                        self.index, warp.status
-                    ),
-                });
-            }
+            return Ok(self.rt.on_mem_response(entry, req));
         }
-        Ok(())
+        let slot = waiter as usize;
+        let warp = &mut self.warps[slot];
+        let WarpStatus::WaitMem(outstanding) = warp.status else {
+            return Err(SimError::IllegalDispatch {
+                detail: format!(
+                    "memory completion delivered to sm{} warp slot {slot}, \
+                     which is not waiting on memory ({:?})",
+                    self.index, warp.status
+                ),
+            });
+        };
+        let left = outstanding - 1;
+        if left > 0 {
+            warp.status = WarpStatus::WaitMem(left);
+            return Ok(false);
+        }
+        warp.status = WarpStatus::Ready;
+        self.ready_hint[warp.sub_core] = true;
+        Ok(true)
     }
 
     /// Advances the SM one cycle.
@@ -472,12 +485,7 @@ impl Sm {
             picks.push(pick);
             hsu_requests.push(pick.is_some_and(|slot| {
                 let w = &self.warps[slot];
-                w.trace.instructions[w.pc]
-                    .lanes
-                    .iter()
-                    .flatten()
-                    .next()
-                    .is_some_and(|op| op.is_hsu())
+                w.trace.instructions[w.pc].class.is_hsu()
             }));
         }
 
@@ -501,15 +509,16 @@ impl Sm {
             // until the status write below.
             let warp = &self.warps[slot];
             let instr = &warp.trace.instructions[warp.pc];
-            let class = instr.class();
+            let ops = warp.trace.ops(instr);
+            let class = instr.class;
             self.stats.issued[class.index()] += 1;
-            self.stats.issued_weighted[class.index()] += weighted_count(instr);
+            self.stats.issued_weighted[class.index()] += weighted_count(ops);
             any_issued = true;
             self.last_issued[sc] = Some(slot);
 
             let new_status = match class {
                 OpClass::Alu | OpClass::Shared => {
-                    let count = max_run(instr) as u64;
+                    let count = max_run(ops) as u64;
                     let lat = if class == OpClass::Alu {
                         self.alu_latency
                     } else {
@@ -522,7 +531,7 @@ impl Sm {
                 }
                 OpClass::Load => {
                     let mut lines = std::mem::take(&mut self.coalesce_buf);
-                    let coalesced = coalesce_into(instr, self.line_bytes, &mut lines);
+                    let coalesced = coalesce_into(ops, self.line_bytes, &mut lines);
                     if let Err(e) = coalesced {
                         self.coalesce_buf = lines;
                         return Err(e);
@@ -537,7 +546,7 @@ impl Sm {
                 }
                 OpClass::Store => {
                     let mut lines = std::mem::take(&mut self.coalesce_buf);
-                    let coalesced = coalesce_into(instr, self.line_bytes, &mut lines);
+                    let coalesced = coalesce_into(ops, self.line_bytes, &mut lines);
                     if let Err(e) = coalesced {
                         self.coalesce_buf = lines;
                         return Err(e);
@@ -549,7 +558,7 @@ impl Sm {
                     WarpStatus::WaitUntil(now + 1)
                 }
                 OpClass::HsuRayIntersect | OpClass::HsuDistance | OpClass::HsuKeyCompare => {
-                    let Some(lead) = instr.lanes.iter().flatten().next() else {
+                    let Some(lead) = ops.first() else {
                         return Err(SimError::IllegalDispatch {
                             detail: format!(
                                 "{class:?} warp instruction with no active lanes on sm{}",
@@ -566,7 +575,7 @@ impl Sm {
                         });
                     }
                     self.rt
-                        .dispatch(slot, sc, instr.active_mask, &instr.lanes, self.line_bytes)?;
+                        .dispatch(slot, sc, instr.active_mask, ops, self.line_bytes)?;
                     WarpStatus::WaitHsu
                 }
             };
@@ -656,13 +665,11 @@ impl Sm {
     }
 }
 
-/// Expanded instruction weight of a warp instruction: Alu/Shared runs count
-/// their per-lane instruction totals; other classes count active lanes.
-fn weighted_count(instr: &WarpInstruction) -> u64 {
-    instr
-        .lanes
-        .iter()
-        .flatten()
+/// Expanded instruction weight of a warp instruction's active-lane ops:
+/// Alu/Shared runs count their per-lane instruction totals; other classes
+/// count active lanes.
+fn weighted_count(ops: &[ThreadOp]) -> u64 {
+    ops.iter()
         .map(|op| match op {
             ThreadOp::Alu { count } | ThreadOp::Shared { count } => *count as u64,
             _ => 1,
@@ -672,11 +679,8 @@ fn weighted_count(instr: &WarpInstruction) -> u64 {
 
 /// Maximum Alu/Shared run length across active lanes (lockstep SIMT executes
 /// the longest lane's count).
-fn max_run(instr: &WarpInstruction) -> u32 {
-    instr
-        .lanes
-        .iter()
-        .flatten()
+fn max_run(ops: &[ThreadOp]) -> u32 {
+    ops.iter()
         .map(|op| match op {
             ThreadOp::Alu { count } | ThreadOp::Shared { count } => *count,
             _ => 1,
@@ -685,19 +689,15 @@ fn max_run(instr: &WarpInstruction) -> u32 {
         .unwrap_or(1)
 }
 
-/// Unique cache lines touched by a load/store warp instruction, written
-/// into a caller-owned scratch buffer (cleared first) so the per-issue hot
-/// path allocates nothing.
+/// Unique cache lines touched by a load/store warp instruction's
+/// active-lane ops, written into a caller-owned scratch buffer (cleared
+/// first) so the per-issue hot path allocates nothing.
 ///
 /// Rejects instructions whose lanes mix in non-memory ops (a malformed or
 /// corrupted trace) instead of panicking mid-issue.
-fn coalesce_into(
-    instr: &WarpInstruction,
-    line_bytes: u64,
-    lines: &mut Vec<u64>,
-) -> Result<(), SimError> {
+fn coalesce_into(ops: &[ThreadOp], line_bytes: u64, lines: &mut Vec<u64>) -> Result<(), SimError> {
     lines.clear();
-    for op in instr.lanes.iter().flatten() {
+    for op in ops {
         let (addr, bytes) = match op {
             ThreadOp::Load { addr, bytes } | ThreadOp::Store { addr, bytes } => {
                 (*addr, *bytes as u64)

@@ -8,6 +8,8 @@
 //! operation class, and one warp instruction is emitted per distinct class —
 //! the serialization penalty branch divergence costs a real SIMT machine.
 
+use std::ops::Range;
+
 use hsu_geometry::point::Metric;
 
 /// Number of threads per warp.
@@ -87,12 +89,7 @@ impl ThreadOp {
 
     /// Returns `true` for operations executed on the RT/HSU unit.
     pub fn is_hsu(&self) -> bool {
-        matches!(
-            self,
-            ThreadOp::HsuRayIntersect { .. }
-                | ThreadOp::HsuDistance { .. }
-                | ThreadOp::HsuKeyCompare { .. }
-        )
+        self.class().is_hsu()
     }
 }
 
@@ -132,6 +129,14 @@ impl OpClass {
             OpClass::HsuDistance => 5,
             OpClass::HsuKeyCompare => 6,
         }
+    }
+
+    /// Returns `true` for the classes executed on the RT/HSU unit.
+    pub fn is_hsu(self) -> bool {
+        matches!(
+            self,
+            OpClass::HsuRayIntersect | OpClass::HsuDistance | OpClass::HsuKeyCompare
+        )
     }
 
     /// Label for stat dumps.
@@ -180,40 +185,41 @@ impl ThreadTrace {
     }
 }
 
-/// One warp instruction: an operation class with per-lane payloads.
+/// One warp instruction: an operation class, the lanes that take part, and
+/// where their operations sit in the owning [`WarpTrace`]'s op stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarpInstruction {
-    /// Lanes participating (bit *i* = lane *i*).
+    /// Lanes participating (bit *i* = lane *i*); never zero.
     pub active_mask: u32,
-    /// Per-lane operations; `None` for inactive lanes. All `Some` entries
-    /// share the same [`OpClass`].
-    pub lanes: Vec<Option<ThreadOp>>,
+    /// The operation class every active lane shares.
+    pub class: OpClass,
+    /// The active lanes' ops in [`WarpTrace`]'s stream, in lane order.
+    ops: Range<u32>,
 }
 
 impl WarpInstruction {
-    /// The shared operation class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instruction has no active lane.
-    pub fn class(&self) -> OpClass {
-        let Some(op) = self.lanes.iter().flatten().next() else {
-            panic!("warp instruction without active lanes");
-        };
-        op.class()
-    }
-
     /// Number of active lanes.
     pub fn active_lanes(&self) -> u32 {
         self.active_mask.count_ones()
     }
 }
 
-/// The instruction stream of one warp.
+/// The instruction stream of one warp: instructions in program order over
+/// one flat vector of the active lanes' operations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarpTrace {
     /// Instructions in program order.
     pub instructions: Vec<WarpInstruction>,
+    ops: Vec<ThreadOp>,
+}
+
+impl WarpTrace {
+    /// The ops of `instr` (an instruction of this trace), one per active
+    /// lane in ascending lane order: the *i*-th op belongs to the *i*-th set
+    /// bit of `instr.active_mask`.
+    pub fn ops(&self, instr: &WarpInstruction) -> &[ThreadOp] {
+        &self.ops[instr.ops.start as usize..instr.ops.end as usize]
+    }
 }
 
 /// A kernel launch: one trace per thread, packed into warps on demand.
@@ -268,46 +274,59 @@ impl KernelTrace {
     /// Packs threads into warps of 32 consecutive lanes and lowers each
     /// warp's logs into divergence-grouped [`WarpInstruction`]s.
     pub fn warps(&self) -> Vec<WarpTrace> {
-        self.threads
-            .chunks(WARP_WIDTH)
-            .map(|chunk| {
-                let mut cursors = vec![0usize; chunk.len()];
-                let mut out = WarpTrace::default();
-                loop {
-                    // Lanes that still have operations.
-                    let mut pending: Vec<usize> = (0..chunk.len())
-                        .filter(|&l| cursors[l] < chunk[l].ops().len())
-                        .collect();
-                    if pending.is_empty() {
-                        break;
-                    }
-                    // Group by class; emit the class of the lowest pending
-                    // lane first (deterministic reconvergence order).
-                    while !pending.is_empty() {
-                        let lead_class = chunk[pending[0]].ops()[cursors[pending[0]]].class();
-                        let mut mask = 0u32;
-                        let mut lanes = vec![None; WARP_WIDTH];
-                        pending.retain(|&l| {
-                            let op = chunk[l].ops()[cursors[l]];
-                            if op.class() == lead_class {
-                                mask |= 1 << l;
-                                lanes[l] = Some(op);
-                                cursors[l] += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        out.instructions.push(WarpInstruction {
-                            active_mask: mask,
-                            lanes,
-                        });
+        self.threads.chunks(WARP_WIDTH).map(pack_warp).collect()
+    }
+}
+
+/// Lowers up to 32 thread logs into one warp's instruction stream. At each
+/// step every unfinished lane contributes its next op; the class of the
+/// lowest pending lane is emitted first (deterministic reconvergence order),
+/// then the next remaining class, until the step's lanes are used up.
+fn pack_warp(lanes: &[ThreadTrace]) -> WarpTrace {
+    let mut cursors = [0usize; WARP_WIDTH];
+    // Lanes that still have operations.
+    let mut live = 0u32;
+    for (l, t) in lanes.iter().enumerate() {
+        if !t.ops.is_empty() {
+            live |= 1 << l;
+        }
+    }
+    let longest = lanes.iter().map(|t| t.ops.len()).max().unwrap_or(0);
+    let mut out = WarpTrace {
+        instructions: Vec::with_capacity(longest),
+        ops: Vec::with_capacity(lanes.iter().map(|t| t.ops.len()).sum()),
+    };
+    while live != 0 {
+        let mut pending = live;
+        while pending != 0 {
+            let lead = pending.trailing_zeros() as usize;
+            let class = lanes[lead].ops[cursors[lead]].class();
+            let start = out.ops.len() as u32;
+            let mut mask = 0u32;
+            let mut rest = pending;
+            while rest != 0 {
+                let l = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let ops = &lanes[l].ops;
+                let op = ops[cursors[l]];
+                if op.class() == class {
+                    mask |= 1 << l;
+                    out.ops.push(op);
+                    cursors[l] += 1;
+                    if cursors[l] == ops.len() {
+                        live &= !(1 << l);
                     }
                 }
-                out
-            })
-            .collect()
+            }
+            pending &= !mask;
+            out.instructions.push(WarpInstruction {
+                active_mask: mask,
+                class,
+                ops: start..out.ops.len() as u32,
+            });
+        }
     }
+    out
 }
 
 #[cfg(test)]
@@ -344,8 +363,8 @@ mod tests {
         for w in &warps {
             assert_eq!(w.instructions.len(), 2);
             assert_eq!(w.instructions[0].active_mask, u32::MAX);
-            assert_eq!(w.instructions[0].class(), OpClass::Alu);
-            assert_eq!(w.instructions[1].class(), OpClass::Load);
+            assert_eq!(w.instructions[0].class, OpClass::Alu);
+            assert_eq!(w.instructions[1].class, OpClass::Load);
         }
     }
 
@@ -364,9 +383,50 @@ mod tests {
         let warps = k.warps();
         assert_eq!(warps.len(), 1);
         // One step, two classes -> two serialized warp instructions.
-        assert_eq!(warps[0].instructions.len(), 2);
-        assert_eq!(warps[0].instructions[0].active_mask, 0b0101);
-        assert_eq!(warps[0].instructions[1].active_mask, 0b1010);
+        let w = &warps[0];
+        assert_eq!(w.instructions.len(), 2);
+        assert_eq!(w.instructions[0].active_mask, 0b0101);
+        assert_eq!(w.instructions[1].active_mask, 0b1010);
+        assert_eq!(w.ops(&w.instructions[0]), &[ThreadOp::Alu { count: 1 }; 2]);
+        assert_eq!(w.ops(&w.instructions[1]).len(), 2);
+    }
+
+    #[test]
+    fn ops_follow_lane_order_of_the_mask() {
+        // Lanes 1, 3 and 4 load distinct addresses; lanes 0 and 2 run ALU
+        // ops. Each instruction's ops are its active lanes' in lane order.
+        let mut k = KernelTrace::new("lane-order");
+        for lane in 0..5u64 {
+            let mut t = ThreadTrace::new();
+            if matches!(lane, 1 | 3 | 4) {
+                t.push(ThreadOp::Load {
+                    addr: lane * 100,
+                    bytes: 4,
+                });
+            } else {
+                t.push(ThreadOp::Alu {
+                    count: lane as u32 + 1,
+                });
+            }
+            k.push_thread(t);
+        }
+        let w = &k.warps()[0];
+        let (alu, load) = (&w.instructions[0], &w.instructions[1]);
+        assert_eq!((alu.class, alu.active_mask), (OpClass::Alu, 0b00101));
+        assert_eq!(
+            w.ops(alu),
+            &[ThreadOp::Alu { count: 1 }, ThreadOp::Alu { count: 3 }]
+        );
+        assert_eq!((load.class, load.active_mask), (OpClass::Load, 0b11010));
+        let addrs: Vec<u64> = w
+            .ops(load)
+            .iter()
+            .map(|op| match op {
+                ThreadOp::Load { addr, .. } => *addr,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(addrs, vec![100, 300, 400]);
     }
 
     #[test]
@@ -412,6 +472,9 @@ mod tests {
         }
         .is_hsu());
         assert!(!ThreadOp::Alu { count: 1 }.is_hsu());
+        for c in OpClass::ALL {
+            assert_eq!(c.is_hsu(), c.index() >= OpClass::HsuRayIntersect.index());
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! The organization is *functionally* identical to the baseline — same ISA,
 //! same beat counts, same typed errors with identical payloads — and obeys
 //! the exact same event-driven contracts (`advances_on_tick`,
-//! `fast_forward` stat integration), so all three [`crate::config::SimMode`]s
+//! `fast_forward` stat integration), so both [`crate::config::SimMode`]s
 //! remain bit-identical for it. Only timing and memory-traffic columns may
 //! differ from the baseline; `tests/rt_organization.rs` locks that split.
 
@@ -39,7 +39,7 @@ use hsu_core::warp_buffer::{EntryId, WarpBuffer, WARP_WIDTH};
 use hsu_core::HsuConfig;
 
 use crate::error::SimError;
-use crate::rt_unit::{lane_plan, unit_supports, FifoRequest, LaneState, RtUnitStats};
+use crate::rt_unit::{lane_plan, lanes_of, unit_supports, FifoRequest, LaneState, RtUnitStats};
 use crate::trace::ThreadOp;
 
 /// The treelet-scheduled RT/HSU unit of one SM.
@@ -53,6 +53,8 @@ pub struct TreeletRtUnit {
     entry_owner: Vec<Option<usize>>,
     lane_state: Vec<[LaneState; WARP_WIDTH]>,
     arbiter: SubCoreArbiter,
+    /// The arbiter's accumulate-lock mask (all clear, as in the baseline).
+    no_accumulate: Vec<bool>,
     pipeline: DatapathPipeline,
     fifo: VecDeque<FifoRequest>,
     /// Per-entry coalesced fetch table: `(line, lane mask)`.
@@ -94,6 +96,7 @@ impl TreeletRtUnit {
             entry_owner: vec![None; entries],
             lane_state: vec![[LaneState::default(); WARP_WIDTH]; entries],
             arbiter: SubCoreArbiter::new(sub_cores),
+            no_accumulate: vec![false; sub_cores],
             pipeline: DatapathPipeline::new(),
             fifo: VecDeque::new(),
             entry_requests: vec![Vec::new(); entries],
@@ -127,8 +130,7 @@ impl TreeletRtUnit {
             }
             return None;
         }
-        let accumulate = vec![false; requesting.len()];
-        self.arbiter.grant(requesting, &accumulate)
+        self.arbiter.grant(requesting, &self.no_accumulate)
     }
 
     /// Marks `line` most-recently-used in the staged pool. Returns `true`
@@ -143,7 +145,8 @@ impl TreeletRtUnit {
         }
     }
 
-    /// Dispatches a warp instruction into the warp buffer. Lines already
+    /// Dispatches a warp instruction into the warp buffer. `ops` holds one
+    /// op per set bit of `active_mask`, in lane order. Lines already
     /// resident in a staging buffer are consumed immediately; the rest are
     /// queued for fetch.
     ///
@@ -157,21 +160,15 @@ impl TreeletRtUnit {
         warp: usize,
         sub_core: usize,
         active_mask: u32,
-        lanes: &[Option<ThreadOp>],
+        ops: &[ThreadOp],
         line_bytes: u64,
     ) -> Result<EntryId, SimError> {
+        debug_assert_eq!(ops.len(), active_mask.count_ones() as usize);
         // Plan every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
-        let mut plans: Vec<(usize, hsu_core::pipeline::OperatingMode, u32, u64, u64)> = Vec::new();
-        for (lane, op) in lanes.iter().enumerate() {
-            if active_mask & (1 << lane) == 0 {
-                continue;
-            }
-            let Some(op) = op.as_ref() else {
-                return Err(SimError::IllegalDispatch {
-                    detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
-                });
-            };
+        let mut plans: Vec<(usize, hsu_core::pipeline::OperatingMode, u32, u64, u64)> =
+            Vec::with_capacity(ops.len());
+        for (lane, op) in lanes_of(active_mask).zip(ops) {
             let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
             plans.push((lane, mode, beats, addr, bytes));
         }
@@ -231,10 +228,7 @@ impl TreeletRtUnit {
         for (req, &(line, mask)) in table.iter().enumerate() {
             if self.touch_staged(line) {
                 self.stats.staging_hits += 1;
-                for lane in 0..WARP_WIDTH {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
+                for lane in lanes_of(mask) {
                     let state = &mut self.lane_state[entry][lane];
                     state.pending_lines -= 1;
                     if state.pending_lines == 0 {
@@ -301,7 +295,10 @@ impl TreeletRtUnit {
     /// A memory response for `(entry, req)` arrived: the staging buffer's
     /// line becomes resident, every coalesced lane is credited, and the
     /// entry joins the ray-scheduling queue once its operands complete.
-    pub fn on_mem_response(&mut self, entry: EntryId, req: usize) {
+    ///
+    /// Always returns `true` (the response is observable): it frees a
+    /// staging buffer, which can re-open a throttled FIFO to the L1 port.
+    pub fn on_mem_response(&mut self, entry: EntryId, req: usize) -> bool {
         debug_assert!(self.in_flight_fetches > 0, "response without a fetch");
         self.in_flight_fetches -= 1;
         let (line, mask) = self.entry_requests[entry][req];
@@ -313,10 +310,7 @@ impl TreeletRtUnit {
             "staging pool overflow"
         );
         let was_ready = self.warp_buffer.entry(entry).operands_ready();
-        for lane in 0..WARP_WIDTH {
-            if mask & (1 << lane) == 0 {
-                continue;
-            }
+        for lane in lanes_of(mask) {
             let state = &mut self.lane_state[entry][lane];
             debug_assert!(state.pending_lines > 0, "response for satisfied lane");
             state.pending_lines -= 1;
@@ -327,6 +321,7 @@ impl TreeletRtUnit {
         if !was_ready && self.warp_buffer.entry(entry).operands_ready() {
             self.ready_queue.push_back(entry);
         }
+        true
     }
 
     /// Advances the datapath one cycle: issues at most one lane-beat from
@@ -368,7 +363,7 @@ impl TreeletRtUnit {
         }
 
         // Completion stage.
-        for done in self.pipeline.tick() {
+        if let Some(done) = self.pipeline.tick() {
             let entry = (done.tag >> 8) as usize;
             let lane = (done.tag & 0xff) as usize;
             let state = &mut self.lane_state[entry][lane];
@@ -474,10 +469,9 @@ mod tests {
         }
     }
 
-    fn lanes_with(op: ThreadOp, mask: u32) -> Vec<Option<ThreadOp>> {
-        (0..WARP_WIDTH)
-            .map(|l| (mask & (1 << l) != 0).then_some(op))
-            .collect()
+    /// The op slice of an instruction running `op` on every lane of `mask`.
+    fn ops_with(op: ThreadOp, mask: u32) -> Vec<ThreadOp> {
+        vec![op; mask.count_ones() as usize]
     }
 
     /// Drives the unit until it drains, answering all memory requests after
@@ -514,7 +508,7 @@ mod tests {
     #[test]
     fn single_instruction_completes_with_same_isa_counts_as_baseline() {
         let mut unit = TreeletRtUnit::new(HsuConfig::default(), 4, 4);
-        unit.dispatch(7, 0, 1, &lanes_with(ray_op(0), 1), 128)
+        unit.dispatch(7, 0, 1, &ops_with(ray_op(0), 1), 128)
             .unwrap();
         let (_, done) = run_to_completion(&mut unit, 20, 1000);
         assert_eq!(done, vec![7]);
@@ -527,11 +521,11 @@ mod tests {
     #[test]
     fn repeated_node_line_hits_the_staging_pool() {
         let mut unit = TreeletRtUnit::new(HsuConfig::default(), 4, 4);
-        unit.dispatch(0, 0, 1, &lanes_with(ray_op(0x100), 1), 128)
+        unit.dispatch(0, 0, 1, &ops_with(ray_op(0x100), 1), 128)
             .unwrap();
         let (_, _) = run_to_completion(&mut unit, 10, 1000);
         // Same node line again: satisfied from the staged pool, no fetch.
-        unit.dispatch(1, 0, 1, &lanes_with(ray_op(0x100), 1), 128)
+        unit.dispatch(1, 0, 1, &ops_with(ray_op(0x100), 1), 128)
             .unwrap();
         assert_eq!(unit.fifo_len(), 0, "staged line needs no fetch");
         let mut guard = 0;
@@ -552,7 +546,7 @@ mod tests {
             dim: 128,
             candidate_addr: 0,
         };
-        unit.dispatch(0, 0, 1, &lanes_with(op, 1), 128).unwrap();
+        unit.dispatch(0, 0, 1, &ops_with(op, 1), 128).unwrap();
         assert_eq!(unit.fifo_len(), 4);
         // Only two fetches may be outstanding at once.
         let a = unit.pop_fifo().expect("first slot free");
@@ -575,9 +569,9 @@ mod tests {
         // Entry B's operands complete before entry A's; the queue must
         // drain B first even though A occupies the lower buffer slot.
         let mut unit = TreeletRtUnit::new(HsuConfig::default(), 4, 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(16), 1), 128)
+        unit.dispatch(0, 0, 1, &ops_with(euclid_op(16), 1), 128)
             .unwrap();
-        unit.dispatch(1, 1, 1, &lanes_with(euclid_op(16), 1), 128)
+        unit.dispatch(1, 1, 1, &ops_with(euclid_op(16), 1), 128)
             .unwrap();
         let a = unit.pop_fifo().unwrap();
         let b = unit.pop_fifo().unwrap();
@@ -600,13 +594,13 @@ mod tests {
         // Treelet size = 4 lines × 128 B = 512 B. Two nodes inside one
         // treelet, then a jump into another.
         for addr in [0x0u64, 0x180, 0x1000] {
-            unit.dispatch(0, 0, 1, &lanes_with(ray_op(addr), 1), 128)
+            unit.dispatch(0, 0, 1, &ops_with(ray_op(addr), 1), 128)
                 .unwrap();
             let (_, _) = run_to_completion(&mut unit, 5, 1000);
         }
         assert_eq!(unit.stats().treelet_transitions, 1);
         // A different warp starting fresh is not a transition.
-        unit.dispatch(3, 0, 1, &lanes_with(ray_op(0x2000), 1), 128)
+        unit.dispatch(3, 0, 1, &ops_with(ray_op(0x2000), 1), 128)
             .unwrap();
         run_to_completion(&mut unit, 5, 1000);
         assert_eq!(unit.stats().treelet_transitions, 1);
@@ -617,14 +611,14 @@ mod tests {
         let mut unit = TreeletRtUnit::new(HsuConfig::default(), 4, 2);
         // Three distinct single-line fetches through a 2-slot pool.
         for (warp, addr) in [(0u64, 0x0u64), (1, 0x1000), (2, 0x2000)] {
-            unit.dispatch(warp as usize, 0, 1, &lanes_with(ray_op(addr), 1), 128)
+            unit.dispatch(warp as usize, 0, 1, &ops_with(ray_op(addr), 1), 128)
                 .unwrap();
             run_to_completion(&mut unit, 5, 1000);
         }
         let s = unit.stats();
         assert!(s.staging_evictions >= 1, "third line must evict");
         // The evicted (coldest) line misses; the resident one hits.
-        unit.dispatch(3, 0, 1, &lanes_with(ray_op(0x2000), 1), 128)
+        unit.dispatch(3, 0, 1, &ops_with(ray_op(0x2000), 1), 128)
             .unwrap();
         assert_eq!(unit.fifo_len(), 0, "MRU line still staged");
     }
@@ -635,7 +629,7 @@ mod tests {
         // baseline unit's.
         let build = || {
             let mut u = TreeletRtUnit::new(HsuConfig::default(), 4, 4);
-            u.dispatch(0, 0, 1, &lanes_with(euclid_op(32), 1), 128)
+            u.dispatch(0, 0, 1, &ops_with(euclid_op(32), 1), 128)
                 .unwrap();
             while u.pop_fifo().is_some() {}
             u.tick();
@@ -655,7 +649,7 @@ mod tests {
     fn dispatch_errors_match_the_baseline_payloads() {
         let mut treelet = TreeletRtUnit::new(HsuConfig::default(), 4, 4);
         let mut baseline = crate::rt_unit::RtUnit::new(HsuConfig::default(), 4);
-        let bad = lanes_with(ThreadOp::Alu { count: 4 }, 1);
+        let bad = ops_with(ThreadOp::Alu { count: 4 }, 1);
         let te = treelet.dispatch(0, 0, 1, &bad, 128).expect_err("non-HSU");
         let be = baseline.dispatch(0, 0, 1, &bad, 128).expect_err("non-HSU");
         assert_eq!(te.to_string(), be.to_string(), "identical error payloads");
@@ -669,10 +663,10 @@ mod tests {
     fn dispatch_into_full_buffer_is_a_typed_error() {
         let cfg = HsuConfig::default().with_warp_buffer(1);
         let mut unit = TreeletRtUnit::new(cfg, 4, 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(16), 1), 128)
+        unit.dispatch(0, 0, 1, &ops_with(euclid_op(16), 1), 128)
             .unwrap();
         let err = unit
-            .dispatch(1, 1, 1, &lanes_with(euclid_op(16), 1), 128)
+            .dispatch(1, 1, 1, &ops_with(euclid_op(16), 1), 128)
             .expect_err("full buffer must reject");
         assert!(matches!(err, SimError::IllegalDispatch { .. }));
         assert_eq!(unit.warp_buffer_occupancy(), 1);

@@ -58,11 +58,11 @@ struct Golden {
 /// Regenerate with the `bless` test above — do not hand-edit numbers.
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
-    Golden { name: "ggnn/hsu", cycles: 14848, issued: [240, 714, 0, 776, 0, 391, 0], l1_accesses: 2472, l1_misses: 643, dram_activations: 340, ticks_executed: 8467, cycles_skipped: 6381 },
-    Golden { name: "flann/hsu", cycles: 23313, issued: [125, 110, 18, 96, 0, 102, 0], l1_accesses: 1333, l1_misses: 157, dram_activations: 37, ticks_executed: 4279, cycles_skipped: 19034 },
-    Golden { name: "bvhnn/hsu", cycles: 67849, issued: [333, 0, 25, 166, 161, 138, 0], l1_accesses: 2812, l1_misses: 1015, dram_activations: 288, ticks_executed: 12119, cycles_skipped: 55730 },
-    Golden { name: "btree/hsu", cycles: 1244, issued: [16, 4, 4, 0, 0, 0, 8], l1_accesses: 298, l1_misses: 93, dram_activations: 13, ticks_executed: 829, cycles_skipped: 415 },
-    Golden { name: "rtindex/hsu", cycles: 6676, issued: [112, 0, 20, 54, 50, 0, 20], l1_accesses: 825, l1_misses: 392, dram_activations: 264, ticks_executed: 2898, cycles_skipped: 3778 },
+    Golden { name: "ggnn/hsu", cycles: 14848, issued: [240, 714, 0, 776, 0, 391, 0], l1_accesses: 2472, l1_misses: 643, dram_activations: 340, ticks_executed: 7782, cycles_skipped: 7066 },
+    Golden { name: "flann/hsu", cycles: 23313, issued: [125, 110, 18, 96, 0, 102, 0], l1_accesses: 1333, l1_misses: 157, dram_activations: 37, ticks_executed: 3041, cycles_skipped: 20272 },
+    Golden { name: "bvhnn/hsu", cycles: 67849, issued: [333, 0, 25, 166, 161, 138, 0], l1_accesses: 2812, l1_misses: 1015, dram_activations: 288, ticks_executed: 8708, cycles_skipped: 59141 },
+    Golden { name: "btree/hsu", cycles: 1244, issued: [16, 4, 4, 0, 0, 0, 8], l1_accesses: 298, l1_misses: 93, dram_activations: 13, ticks_executed: 755, cycles_skipped: 489 },
+    Golden { name: "rtindex/hsu", cycles: 6676, issued: [112, 0, 20, 54, 50, 0, 20], l1_accesses: 825, l1_misses: 392, dram_activations: 264, ticks_executed: 2421, cycles_skipped: 4255 },
 ];
 
 /// Builds and simulates the five locked cases, in `GOLDENS` order.

@@ -75,7 +75,7 @@ proptest! {
         let mut expected_isa = 0u64;
         for w in kernel.warps() {
             for i in &w.instructions {
-                for op in i.lanes.iter().flatten() {
+                for op in w.ops(i) {
                     expected_isa += match op {
                         ThreadOp::HsuRayIntersect { .. } => 1,
                         ThreadOp::HsuDistance { metric, dim, .. } =>
